@@ -12,6 +12,11 @@ which turns into an index bound of the shape 2**(|S|+r_f+1) * [k_A:k].
 Generic (any V, any eps) and sharp (enumerated small prime norms)
 variants are both provided.
 
+zeta_k(2) enters every covolume.  It is computed by the Hurwitz
+identity zeta_k(2) = zeta(2) * d_k**-2 * sum_r chi(r) * zeta(2, r/d_k),
+in O(d_k) mpmath calls at a fixed precision, and memoized per
+discriminant.
+
 Two absolute constants from the underlying effectivity results (called
 A and A1 here) are never pinned numerically by the source material;
 they are configuration inputs with default 1, and every output that
@@ -24,6 +29,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
+
+from mpmath import mp
 
 from .exact import factorize, is_prime, kronecker_symbol, squarefree_part
 from .forms import DiagForm, hilbert_symbol
@@ -114,36 +121,29 @@ def class_number(K: ImagQuadField) -> int:
 
 
 def zeta_k_2(K: ImagQuadField, tol: float = 1e-12) -> float:
-    """zeta_k(2) = zeta(2) * L(2, chi_disc) by truncated character sum.
+    """zeta_k(2) = zeta(2) * L(2, chi_disc) by the Hurwitz identity.
 
-    The L-sum over n <= N has tail at most d_k/N**2 (partial sums of the
-    character are bounded by d_k), so N is chosen as sqrt(d_k/tol).
-    Summation uses exact float accumulation for determinism.
+    L(2, chi) = d_k**-2 * sum_{0<r<d_k} chi(r) * zeta(2, r/d_k) is exact,
+    so the cost is O(d_k) Hurwitz zeta calls in constant memory.  The sum
+    runs at a fixed 30 digits, whatever the caller's mpmath precision, and
+    the float is memoized per discriminant.  Its error (about 1e-15) is
+    below every tolerance the package passes; `tol` is only validated.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n_terms = math.isqrt(int(K.d_k / tol)) + 1
-    chi = [0] * K.d_k
-    for r in range(1, K.d_k):
-        chi[r] = kronecker_symbol(K.disc, r)
-    terms = [chi[n % K.d_k] / (n * n) for n in range(1, n_terms + 1) if chi[n % K.d_k]]
-    l_value = math.fsum(terms)
-    return (math.pi ** 2 / 6.0) * l_value
+    return _zeta_k_2_of_disc(K.disc)
 
 
-def zeta_k_2_ideal_sum(K: ImagQuadField, max_norm: int) -> float:
-    """Independent route: sum over n of (ideal count of norm n)/n^2.
-
-    The count of ideals of norm n is sum_{m | n} chi(m).  Slowly
-    convergent; intended as a cross-check oracle, not production use.
-    """
-    counts = [0] * (max_norm + 1)
-    for m in range(1, max_norm + 1):
-        c = kronecker_symbol(K.disc, m)
-        if c:
-            for n in range(m, max_norm + 1, m):
-                counts[n] += c
-    return math.fsum(counts[n] / (n * n) for n in range(1, max_norm + 1))
+@lru_cache(maxsize=None)
+def _zeta_k_2_of_disc(disc: int) -> float:
+    d_k = -disc
+    with mp.workdps(30):
+        l_sum = mp.fsum(
+            chi * mp.zeta(2, mp.mpf(r) / d_k)
+            for r in range(1, d_k)
+            if (chi := kronecker_symbol(disc, r))
+        )
+        return float(mp.zeta(2) * l_sum / d_k ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +297,13 @@ def maximal_covolume(K: ImagQuadField, A: QuatAlgebra, params: CovolumeParams, t
 
 
 def c_prime_eps(eps: float) -> float:
-    """14.5 + 2**(1/eps + 7)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return 14.5 + 2.0 ** (1.0 / eps + 7)
+    """14.5 + 2**(1/eps + 7), for finite eps > 0 where that is a finite float."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive, got %r" % eps)
+    exponent = 1.0 / eps + 7
+    if not exponent < 1024:  # 2.0**1024 overflows a float
+        raise ValueError("eps=%g is too small: 2**(1/eps + 7) overflows a float" % eps)
+    return 14.5 + 2.0 ** exponent
 
 
 @dataclass(frozen=True)

@@ -400,4 +400,8 @@ def rat_str(r) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """A rational from text such as '3', '-5/2' or '0.75'; ValueError if malformed."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % s) from None

@@ -2,9 +2,9 @@
 formulas, and the index-bound constants built on top of them.
 
 Class numbers are cross-checked against the finite character sum of the
-analytic class number formula, zeta values against an independent
-Hurwitz-zeta route, and the covolume formulas against each other
-through their exact quotient.
+analytic class number formula, zeta values against closed forms, a
+truncated character sum and an ideal sum, and the covolume formulas
+against each other through their exact quotient.
 """
 
 import json
@@ -14,6 +14,7 @@ import random
 import mpmath as mp
 import pytest
 
+from qfbounds import geometry
 from qfbounds.arithmetic import (
     THEOREM_PREFACTOR,
     CovolumeParams,
@@ -38,10 +39,17 @@ from qfbounds.arithmetic import (
     splitting_type,
     total_index_bound,
     zeta_k_2,
-    zeta_k_2_ideal_sum,
+    _zeta_k_2_of_disc,
 )
 from qfbounds.forms import DiagForm, hilbert_symbol
-from conftest import brute_is_square_mod, brute_primes, random_nonzero
+from conftest import (
+    brute_is_square_mod,
+    brute_primes,
+    chi_table,
+    random_nonzero,
+    zeta_k_2_char_sum,
+    zeta_k_2_ideal_sum,
+)
 
 
 def is_squarefree(n: int) -> bool:
@@ -51,36 +59,6 @@ def is_squarefree(n: int) -> bool:
             return False
         f += 1
     return True
-
-
-def chi_table(disc: int):
-    """chi_disc(n) for 0 <= n < |disc|, built from scratch.
-
-    Legendre values come from exhaustive residue search, chi(2) from the
-    discriminant mod 8, and composites by multiplicativity.
-    """
-    legendre = {}
-    for p in brute_primes(abs(disc)):
-        if disc % p == 0:
-            legendre[p] = 0
-        elif p == 2:
-            legendre[p] = 1 if disc % 8 == 1 else -1
-        else:
-            legendre[p] = 1 if brute_is_square_mod(disc, p) else -1
-    out = [0] * abs(disc)
-    out[1 % abs(disc)] = 1
-    for n in range(2, abs(disc)):
-        m, val = n, 1
-        f = 2
-        while f * f <= m:
-            while m % f == 0:
-                val *= legendre[f]
-                m //= f
-            f += 1
-        if m > 1:
-            val *= legendre[m]
-        out[n] = val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +180,36 @@ def test_zeta2_tolerance_validation():
         zeta_k_2(ImagQuadField.from_d(1), tol=0.0)
 
 
+@pytest.mark.parametrize("d", [3, 1, 7, 2, 77])  # d_k = 3, 4, 7, 8, 308
+def test_zeta2_vs_character_sum(d):
+    K = ImagQuadField.from_d(d)
+    assert abs(zeta_k_2(K) - zeta_k_2_char_sum(K)) < 1e-12
+
+
+def test_zeta2_independent_of_caller_precision():
+    K = ImagQuadField.from_d(7)
+    values = []
+    try:
+        for dps in (15, 60):
+            _zeta_k_2_of_disc.cache_clear()
+            with mp.workdps(dps):
+                values.append(zeta_k_2(K))
+        _zeta_k_2_of_disc.cache_clear()
+        geometry.set_precision(20)
+        values.append(zeta_k_2(K))
+    finally:
+        geometry.set_precision(50)
+    assert values[0] == values[1] == values[2]
+
+
+def test_zeta2_memoized_per_discriminant():
+    K = ImagQuadField.from_d(7)
+    first = zeta_k_2(K)
+    hits = _zeta_k_2_of_disc.cache_info().hits
+    assert zeta_k_2(ImagQuadField.from_d(7), tol=1e-13) == first
+    assert _zeta_k_2_of_disc.cache_info().hits == hits + 1
+
+
 # ---------------------------------------------------------------------------
 # quaternion algebras from rank-4 forms
 
@@ -321,6 +329,19 @@ def test_c_prime_eps_values():
         c_prime_eps(0.0)
     with pytest.raises(ValueError):
         c_prime_eps(-1.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_c_prime_eps_rejects_non_finite(eps):
+    with pytest.raises(ValueError, match="finite and positive"):
+        c_prime_eps(eps)
+
+
+def test_c_prime_eps_rejects_overflow():
+    for eps in (0.0009, 5e-324):
+        with pytest.raises(ValueError, match="overflows"):
+            c_prime_eps(eps)
+    assert math.isfinite(c_prime_eps(0.001))
 
 
 def test_c1_and_c_eps_bounds():

@@ -170,3 +170,9 @@ def test_rat_str_parse_round_trip():
         assert parse_rat(rat_str(r)) == r
     assert rat_str(Fraction(3, 1)) == "3"
     assert rat_str(Fraction(-3, 7)) == "-3/7"
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "abc"])
+def test_parse_rat_rejects_bad_text(text):
+    with pytest.raises(ValueError):
+        parse_rat(text)

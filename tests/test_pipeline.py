@@ -413,6 +413,21 @@ def test_cli_bad_form_exit_code(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("eps", ["nan", "0.0009"])
+def test_cli_bounds_bad_eps_exit_code(capsys, eps):
+    code, out, err = run_cli(capsys, ["bounds", "1,2,5,-10", "--eps", eps, "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [bounds] eps")
+    assert err.count("\n") == 1
+
+
+def test_cli_zero_denominator_exit_code(capsys):
+    code, _, err = run_cli(capsys, ["invariants", "1/0,2"])
+    assert code == 2
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 def test_cli_internal_error_exit_code(monkeypatch, capsys):
     def boom():
         raise RuntimeError("boom")
