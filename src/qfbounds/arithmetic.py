@@ -26,8 +26,7 @@ depends on them says so in its human-readable rendering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from mpmath import mp
@@ -63,17 +62,8 @@ class ImagQuadField:
         omega = len(factorize(d_k))
         return cls(d=d, disc=disc, d_k=d_k, h_k=h_k, omega_dk=omega)
 
-    def zeta2(self, tol: float = 1e-12) -> float:
-        return zeta_k_2(self, tol)
-
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "disc": self.disc,
-            "d_k": self.d_k,
-            "h_k": self.h_k,
-            "omega_dk": self.omega_dk,
-        }
+        return asdict(self)
 
 
 def splitting_type(K: ImagQuadField, p: int) -> str:
@@ -116,21 +106,14 @@ def class_number_of_disc(disc: int) -> int:
     return count
 
 
-def class_number(K: ImagQuadField) -> int:
-    return K.h_k
-
-
-def zeta_k_2(K: ImagQuadField, tol: float = 1e-12) -> float:
+def zeta_k_2(K: ImagQuadField) -> float:
     """zeta_k(2) = zeta(2) * L(2, chi_disc) by the Hurwitz identity.
 
     L(2, chi) = d_k**-2 * sum_{0<r<d_k} chi(r) * zeta(2, r/d_k) is exact,
     so the cost is O(d_k) Hurwitz zeta calls in constant memory.  The sum
     runs at a fixed 30 digits, whatever the caller's mpmath precision, and
-    the float is memoized per discriminant.  Its error (about 1e-15) is
-    below every tolerance the package passes; `tol` is only validated.
+    the float (error about 1e-15) is memoized per discriminant.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return _zeta_k_2_of_disc(K.disc)
 
 
@@ -189,10 +172,7 @@ def quaternion_from_form(q: DiagForm) -> QuatAlgebra:
     """The algebra (z3*z4, z2*z4) over field_from_form(q), entries reduced."""
     z = _z_entries(q)
     _, K = field_from_form(q)
-    a, _ = squarefree_part(z[2] * z[3])
-    b, _ = squarefree_part(z[1] * z[3])
-    ram, r_f = _ram_data(a, b, K)
-    return QuatAlgebra(a=a, b=b, field=K, ram_f=ram, r_f=r_f)
+    return quaternion_algebra(z[2] * z[3], z[1] * z[3], K)
 
 
 def quaternion_algebra(a: int, b: int, K: ImagQuadField) -> QuatAlgebra:
@@ -228,10 +208,6 @@ def _ram_data(a: int, b: int, K: ImagQuadField):
     return tuple(ram), r_f
 
 
-def ramified_primes(A: QuatAlgebra):
-    return A.ram_f
-
-
 def ram_norms(A: QuatAlgebra) -> list[int]:
     """Flat list of norms of the finitely many ramified primes of A."""
     out = []
@@ -244,7 +220,7 @@ def ram_norms(A: QuatAlgebra) -> list[int]:
 # covolume formulas
 
 
-def eichler_covolume(K: ImagQuadField, A: QuatAlgebra, level: list, tol: float = 1e-12) -> float:
+def eichler_covolume(K: ImagQuadField, A: QuatAlgebra, level: list) -> float:
     """Covolume of the image of the unit group of an Eichler order.
 
     level is a list of (prime_norm, exponent) pairs; the empty list is a
@@ -252,7 +228,7 @@ def eichler_covolume(K: ImagQuadField, A: QuatAlgebra, level: list, tol: float =
     * prod over ramified primes of (Nr - 1)
     * prod over level of Nr^{n-1} (Nr + 1).
     """
-    val = K.d_k ** 1.5 * zeta_k_2(K, tol) / (4 * math.pi ** 2)
+    val = K.d_k ** 1.5 * zeta_k_2(K) / (4 * math.pi ** 2)
     for norm in ram_norms(A):
         val *= norm - 1
     for norm, exp in level:
@@ -272,7 +248,7 @@ class CovolumeParams:
         return len(self.S_norms) if self.m is None else self.m
 
 
-def maximal_covolume(K: ImagQuadField, A: QuatAlgebra, params: CovolumeParams, tol: float = 1e-12) -> float:
+def maximal_covolume(K: ImagQuadField, A: QuatAlgebra, params: CovolumeParams) -> float:
     """Covolume of the maximal lattice with level support S.
 
     (d_k^{3/2} zeta_k(2) / (8 pi^2 [k_A:k] 2^m))
@@ -284,7 +260,7 @@ def maximal_covolume(K: ImagQuadField, A: QuatAlgebra, params: CovolumeParams, t
         raise ValueError("m must satisfy 0 <= m <= |S|")
     if not 1 <= params.deg_kA <= K.h_k:
         raise ValueError("[k_A:k] must lie in [1, h_k]")
-    val = K.d_k ** 1.5 * zeta_k_2(K, tol) / (8 * math.pi ** 2 * params.deg_kA * 2 ** m)
+    val = K.d_k ** 1.5 * zeta_k_2(K) / (8 * math.pi ** 2 * params.deg_kA * 2 ** m)
     for norm in ram_norms(A):
         val *= (norm - 1) / 2
     for norm in params.S_norms:
@@ -333,12 +309,6 @@ class BoundValue:
 _LOG10_2 = math.log10(2.0)
 
 
-def c1_eps_bound(K: ImagQuadField, eps: float) -> BoundValue:
-    """log10 of 2**(eps*C'_eps + 2) * 11^2 * d_k^{3/2}."""
-    exponent = eps * c_prime_eps(eps) + 2
-    return BoundValue(log10=exponent * _LOG10_2 + math.log10(121) + 1.5 * math.log10(K.d_k))
-
-
 def c_eps_bound(K: ImagQuadField, eps: float, A1: float = 1.0) -> BoundValue:
     """log10 of 2**(eps*C'_eps + 2) * 11^2 * d_k^{A1*omega(d_k) + 3/2}."""
     if A1 < 0:
@@ -360,16 +330,15 @@ def c2_bound(K: ImagQuadField, type_number_one: bool = False, A1: float = 1.0) -
     )
 
 
+def _require_volume(V: float) -> None:
+    if not (math.isfinite(V) and V > 0):
+        raise ValueError("V must be finite and positive, got %r" % V)
+
+
 def generic_S_rf_bound(eps: float, V: float) -> float:
     """r_f + |S| <= eps*C'_eps + eps*log2(V)."""
-    if V <= 0:
-        raise ValueError("V must be positive")
+    _require_volume(V)
     return eps * c_prime_eps(eps) + eps * math.log2(V)
-
-
-def h_k_upper_bound(K: ImagQuadField) -> float:
-    """Documentation bound h_k <= 242 * d_k^{3/4}."""
-    return 242.0 * K.d_k ** 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +384,17 @@ def prime_norms_ascending(K: ImagQuadField, count: int, exclude_norms: list | No
 class SharpEnumeration:
     mode: str  # "V" or "eps"
     max_S_size: int | None
-    coefficient: float
     r_f: int
     deg_kA: int
     norms_considered: tuple
     eps_validity_threshold: float | None = None
+
+    @property
+    def coefficient(self) -> float:
+        """2**(|S|+r_f+1) * deg in V mode, 2**(r_f+3) * deg in eps mode."""
+        if self.mode == "V":
+            return 2.0 ** (self.max_S_size + self.r_f + 1) * self.deg_kA
+        return 2.0 ** (self.r_f + 3) * self.deg_kA
 
     def to_json(self) -> dict:
         return {
@@ -439,7 +414,6 @@ def sharp_S_enumeration(
     V: float | None = None,
     deg_kA: int = 1,
     eps: float | None = None,
-    tol: float = 1e-12,
 ) -> SharpEnumeration:
     """Sharp index coefficients from small-norm enumeration.
 
@@ -469,15 +443,13 @@ def sharp_S_enumeration(
         return SharpEnumeration(
             mode="eps",
             max_S_size=None,
-            coefficient=2.0 ** (r_f + 3) * deg_kA,
             r_f=r_f,
             deg_kA=deg_kA,
             norms_considered=tuple(norms),
             eps_validity_threshold=threshold,
         )
-    if V <= 0:
-        raise ValueError("V must be positive")
-    base = K.d_k ** 1.5 * zeta_k_2(K, tol) / (8 * math.pi ** 2 * deg_kA)
+    _require_volume(V)
+    base = K.d_k ** 1.5 * zeta_k_2(K) / (8 * math.pi ** 2 * deg_kA)
     for norm in ram_norms_list:
         base *= (norm - 1) / 2
     size = 0
@@ -496,7 +468,6 @@ def sharp_S_enumeration(
     return SharpEnumeration(
         mode="V",
         max_S_size=size,
-        coefficient=2.0 ** (size + r_f + 1) * deg_kA,
         r_f=r_f,
         deg_kA=deg_kA,
         norms_considered=tuple(used),
@@ -505,16 +476,6 @@ def sharp_S_enumeration(
 
 # ---------------------------------------------------------------------------
 # assembled index bounds
-
-
-def bianchi_special_index(d: int, eps: float, V: float, A1: float = 1.0) -> BoundValue:
-    """log10 of 120 * C_eps * V**eps for the Bianchi-group special subgroup."""
-    K = ImagQuadField.from_d(d)
-    ce = c_eps_bound(K, eps, A1)
-    return BoundValue(
-        log10=math.log10(120) + ce.log10 + eps * math.log10(V),
-        parameterized_by=ce.parameterized_by,
-    )
 
 
 THEOREM_PREFACTOR = 2 ** 7 * 3 ** 4 * 5  # 51840

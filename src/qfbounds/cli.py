@@ -13,11 +13,9 @@ import json
 import sys
 
 import mpmath
-from mpmath import mp, mpf
 
 from . import geometry
-from .arithmetic import c_prime_eps
-from .complement import complementary_form, verify_complement
+from .complement import complementary_form
 from .forms import DiagForm, invariant_profile, is_isotropic_Q
 from .isometry import full_isometry_to_standard
 from .pipeline import (
@@ -75,16 +73,15 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_complement(args) -> int:
     q = _parse_form(args.form)
-    w = complementary_form(q)
-    ok = verify_complement(q, w.qc)
+    w = complementary_form(q)  # raises unless the complement verifies
     payload = w.to_json()
-    payload["verified"] = ok
+    payload["verified"] = True
     lines = [
         "form        %s" % q,
         "d = %d, c = %d, x = %d" % (w.d, w.c, w.x),
         "qc (raw)    %s" % w.qc_raw,
         "qc          %s" % w.qc,
-        "verified    %s" % ok,
+        "verified    True",
     ]
     _emit(args, payload, lines)
     return 0

@@ -32,16 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    crt_solve,
     factorize,
-    least_prime_in_ap,
     legendre_symbol,
     primes_in_ap,
-    rat_str,
     smallest_nonresidue_prime,
     squarefree_part,
 )
 from .forms import (
-    INF,
     DiagForm,
     hasse_witt,
     hilbert_symbol,
@@ -141,8 +139,6 @@ def choose_x(q: DiagForm, c: int) -> int:
                     "non-residue misses target at p=%d" % p
                 )
                 congruences.append((cand, p))
-    from .exact import crt_solve
-
     x1 = crt_solve(congruences)
     if x1 == 0:
         x1 = math.prod(m for _, m in congruences)

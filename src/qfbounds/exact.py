@@ -187,13 +187,6 @@ def _factorize_cached(n: int, caps) -> tuple | None:
     return tuple(sorted(out.items()))
 
 
-def factorization_to_int(fac) -> int:
-    x = 1
-    for p, e in fac:
-        x *= p ** e
-    return x
-
-
 def squarefree_part(r) -> tuple[int, Fraction]:
     """Write a nonzero rational r as s * t**2 with s a squarefree integer.
 
@@ -358,25 +351,13 @@ def smallest_nonresidue_prime(p: int) -> int:
         assert q < p, "no non-residue below p, impossible"
 
 
-def least_prime_in_ap(a: int, m: int) -> int:
-    """Least prime q = a (mod m); requires gcd(a, m) = 1 (Dirichlet)."""
+def primes_in_ap(a: int, m: int):
+    """Yield primes = a (mod m) in increasing order; gcd(a, m) = 1 required.
+
+    The first one is the least prime in the progression (Dirichlet).
+    """
     if m < 1:
         raise ValueError("modulus must be positive")
-    if math.gcd(a, m) != 1:
-        raise ValueError("gcd(a, m) must be 1")
-    if m == 1:
-        return 2
-    n = a % m
-    if n == 0:
-        n = m
-    while True:
-        if n >= 2 and is_prime(n):
-            return n
-        n += m
-
-
-def primes_in_ap(a: int, m: int):
-    """Yield primes = a (mod m) in increasing order; gcd(a, m) = 1 required."""
     if math.gcd(a, m) != 1:
         raise ValueError("gcd(a, m) must be 1")
     if m == 1:

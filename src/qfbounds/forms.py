@@ -294,54 +294,3 @@ def is_isotropic_Q(q: DiagForm) -> bool:
         return True
     return all(_isotropic_at(q, p) for p in relevant_places(q))
 
-
-def diagonalize_symmetric(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact congruence diagonalization of a symmetric rational matrix.
-
-    Returns (P, diag) with P invertible and P^t M P = diag(diag).
-    Requires M nondegenerate.
-    """
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if any(a[i][j] != a[j][i] for j in range(i)):
-            raise ValueError("matrix is not symmetric")
-    p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-    def add_col(dst, src, f):
-        # basis change e_dst += f * e_src, applied symmetrically
-        for r in range(n):
-            a[r][dst] += f * a[r][src]
-        for c in range(n):
-            a[dst][c] += f * a[src][c]
-        for r in range(n):
-            p[r][dst] += f * p[r][src]
-
-    def swap_cols(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for c in range(n):
-            a[i][c], a[j][c] = a[j][c], a[i][c]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if pivot is not None:
-                swap_cols(k, pivot)
-            else:
-                found = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
-                    None,
-                )
-                if found is None:
-                    raise ValueError("matrix is degenerate")
-                i, j = found
-                add_col(i, j, Fraction(1))
-                if i != k:
-                    swap_cols(k, i)
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                add_col(i, k, -a[i][k] / a[k][k])
-    return p, [a[i][i] for i in range(n)]

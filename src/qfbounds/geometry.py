@@ -1,5 +1,5 @@
 """Hyperboloid-model geometry of the right-angled 6-dimensional
-polyhedron P6 and the generic horoball/tube formulas feeding the
+polyhedron P6 and the horoball and ball-volume formulas feeding the
 geodesic residual-finiteness growth constant K.
 
 All computations run in high-precision floating point (mpmath, 50+
@@ -22,7 +22,6 @@ by exposing both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath
@@ -220,11 +219,6 @@ class CoxeterSimplex:
 # horoballs and distances
 
 
-def horoball_contains(b, y, tol: float = 1e-12) -> bool:
-    """Whether y (on the hyperboloid) lies in the horoball {y.b >= -1}."""
-    return bool(lorentz_product(y, b) >= -1 - mpf(tol))
-
-
 def project_to_horosphere(x, b) -> tuple:
     """Flow x along the geodesic toward the ideal class of b onto the
     horosphere {y : y.b = -1}.
@@ -251,34 +245,8 @@ def hyp_distance(x, y):
         return mpmath.acosh(max(c, mpf(1)))
 
 
-def slice_radius_from_height(h):
-    """Hyperbolic radius acosh(e^h) of the horoball slice at depth h >= 0."""
-    with _wp():
-        h = mpf(h)
-        if h < 0:
-            raise ValueError("height must be nonnegative")
-        return mpmath.acosh(mpmath.exp(h))
-
-
 # ---------------------------------------------------------------------------
-# spherical links and tubes
-
-
-def spherical_inradius(n: int):
-    """In-radius acos(sqrt(n)/sqrt(n+1)) of the all-right spherical n-simplex."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    with _wp():
-        return mpmath.acos(mpmath.sqrt(n) / mpmath.sqrt(n + 1))
-
-
-def spherical_barycenter_distance(n: int, k: int):
-    """Distance acos(sqrt(k+1)/sqrt(n+1)) between the barycenter of the
-    all-right spherical n-simplex and the barycenter of a k-face."""
-    if not 0 <= k < n:
-        raise ValueError("need 0 <= k < n")
-    with _wp():
-        return mpmath.acos(mpmath.sqrt(k + 1) / mpmath.sqrt(n + 1))
+# balls
 
 
 def unit_ball_volume(n: int):
@@ -287,16 +255,6 @@ def unit_ball_volume(n: int):
         raise ValueError("n must be nonnegative")
     with _wp():
         return mpf(mpmath.pi) ** (mpf(n) / 2) / mpmath.gamma(mpf(n) / 2 + 1)
-
-
-def tube_volume(n: int, R, length):
-    """Volume v_n(1) sinh^n(R) * length of an R-tube about a geodesic
-    segment of the given length in H^{n+1}."""
-    with _wp():
-        R, length = mpf(R), mpf(length)
-        if R < 0 or length < 0:
-            raise ValueError("R and length must be nonnegative")
-        return unit_ball_volume(n) * mpmath.sinh(R) ** n * length
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +345,25 @@ def ball_poly_p(x):
         return x ** 5 / 5 - 2 * x ** 3 / 3 + x - mpf(8) / 15
 
 
-def ball_volume_h6(r):
-    """Volume of the radius-r ball in H^6."""
-    with _wp():
-        r = mpf(r)
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        return mpf(mpmath.pi) ** 3 * ball_poly_p(mpmath.cosh(r))
+def _invert_volume(f, vol, lo):
+    """x > lo with f(x) = vol, for f increasing on [lo, oo) with f(lo) = 0.
+
+    Doubles an upper end until it brackets the root, then bisects to the
+    working precision.  vol must be finite and positive: otherwise no
+    upper end brackets it and the doubling would not stop.
+    """
+    if not (mpmath.isfinite(vol) and vol > 0):
+        raise ValueError("volume must be finite and positive, got %s" % mpmath.nstr(vol))
+    hi = lo + 1
+    while f(hi) - vol < 0:
+        hi *= 2
+    for _ in range(mp.prec + 20):
+        mid = (lo + hi) / 2
+        if f(mid) - vol < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def rmax_bound_from_volume(vol, mode: str = "paper_h6"):
@@ -407,32 +377,11 @@ def rmax_bound_from_volume(vol, mode: str = "paper_h6"):
     """
     with _wp():
         vol = mpf(vol)
-        if vol <= 0:
-            raise ValueError("volume must be positive")
         if mode == "paper_h6":
-            f = lambda x: ball_poly_p(x) - vol
-            lo, hi = mpf(1), mpf(2)
-            while f(hi) < 0:
-                hi *= 2
-            for _ in range(mp.prec + 20):
-                mid = (lo + hi) / 2
-                if f(mid) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return (lo + hi) / 2
+            return _invert_volume(ball_poly_p, vol, mpf(1))
         if mode == "dim3":
-            g = lambda r: mpf(mpmath.pi) * (mpmath.sinh(2 * r) - 2 * r) - vol
-            lo, hi = mpf(0), mpf(1)
-            while g(hi) < 0:
-                hi *= 2
-            for _ in range(mp.prec + 20):
-                mid = (lo + hi) / 2
-                if g(mid) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return mpmath.cosh((lo + hi) / 2)
+            f = lambda r: mpf(mpmath.pi) * (mpmath.sinh(2 * r) - 2 * r)
+            return mpmath.cosh(_invert_volume(f, vol, mpf(0)))
         raise ValueError("mode must be 'paper_h6' or 'dim3'")
 
 
@@ -473,12 +422,13 @@ def effective_K(
     large-argument expansion of ln sinh.  include_vol_eps=False drops
     the vol^eps factor (a display variant seen in worked summaries of
     the same bound).  Returns the log10 value together with the
-    per-manifold constants (h_max, cosh r_max) it used.
+    per-manifold constants (h_max, cosh r_max) it used.  vol_M and eps
+    must be finite and positive (ValueError otherwise).
     """
     with _wp():
         vol = mpf(vol_M)
-        if vol <= 0:
-            raise ValueError("volume must be positive")
+        if not (mpmath.isfinite(eps) and eps > 0):
+            raise ValueError("eps must be finite and positive, got %r" % eps)
         consts = p6_constants()
         cosh_rmax = rmax_bound_from_volume(vol, mode)
         h_max = mpmath.log(cosh_rmax)

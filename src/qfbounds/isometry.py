@@ -47,38 +47,23 @@ from .exact import (
     factorize,
     is_perfect_square,
     kronecker_symbol,
-    least_prime_in_ap,
     partial_squarefree,
+    primes_in_ap,
     rat_str,
     smallest_nonresidue_prime,
     squarefree_part,
 )
 from .forms import (
-    INF,
     DiagForm,
-    hilbert_symbol,
+    _isotropic_at,
     is_isometric_Q,
     is_isotropic_Q,
-    is_local_square,
     standard_lorentzian,
 )
 
 
 # ---------------------------------------------------------------------------
 # exact matrix helpers (lists of lists of Fractions)
-
-
-def mat_identity(n: int):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def gram_matrix(diag_coeffs, cols):
@@ -161,33 +146,6 @@ def bound_E(g: DiagForm) -> int:
     else:
         pw = _ceil_sqrt(base ** n)
     return 2 * max(abs(c) for c in cs) * pw
-
-
-def bound_F(g: DiagForm) -> int:
-    """Coefficient bound E**(2n) n**(n/2) prod_{k<n} E**(2k+2) k**(k/2)."""
-    n = g.rank
-    e = bound_E(g)
-    exp_e = 2 * n + sum(2 * k + 2 for k in range(1, n))
-    under_root = n ** n
-    for k in range(1, n):
-        under_root *= k ** k
-    return e ** exp_e * _ceil_sqrt(under_root)
-
-
-def bound_G(g: DiagForm) -> int:
-    return bound_F(g) ** 2
-
-
-@dataclass(frozen=True)
-class BoundFns:
-    E: int
-    F: int
-    G: int
-
-    @classmethod
-    def for_form(cls, g: DiagForm) -> "BoundFns":
-        f = bound_F(g)
-        return cls(E=bound_E(g), F=f, G=f * f)
 
 
 def cassels_bound(g: DiagForm) -> int:
@@ -577,7 +535,8 @@ def _normalize_zero(cs, num):
     lead = next(x for x in v if x)
     if lead < 0:
         v = [-x for x in v]
-    assert sum(c * x * x for c, x in zip(cs, v)) == 0
+    if sum(c * x * x for c, x in zip(cs, v)) != 0:
+        raise RuntimeError("not a zero of %s: %s" % (cs, v))
     return tuple(v)
 
 
@@ -596,32 +555,12 @@ def _ternary_zero(a, b, c):
     return _shrink_zero(cs, [s * x for s, x in zip(scales, z)])
 
 
-def _quaternary_anisotropic_local(cs, v) -> bool:
-    """Is the rank-4 diagonal form anisotropic over Q_v?"""
-    d = 1
-    for x in cs:
-        d *= x
-    if not is_local_square(d, v):
-        return False
-    eps = 1
-    for i in range(4):
-        for j in range(i + 1, 4):
-            eps *= hilbert_symbol(cs[i], cs[j], v)
-    return eps == -hilbert_symbol(-1, -1, v)
-
-
 def _represents_locally(cs, t, v) -> bool:
-    """Does the diagonal form represent the nonzero value t over Q_v?"""
-    k = len(cs)
-    if k == 1:
-        return is_local_square(Fraction(t, cs[0]), v)
-    if k == 2:
-        return hilbert_symbol(-cs[0] * cs[1], cs[0] * t, v) == 1
-    if k == 3:
-        return not _quaternary_anisotropic_local((cs[0], cs[1], cs[2], -t), v)
-    if v == INF:
-        return any((x > 0) == (t > 0) for x in cs)
-    return True
+    """Does the diagonal form represent the nonzero value t over Q_v?
+
+    It does exactly when <cs, -t> is isotropic over Q_v.
+    """
+    return _isotropic_at(DiagForm(tuple(cs) + (-t,)), v)
 
 
 def _represents_Q(cs, t) -> bool:
@@ -691,9 +630,10 @@ def _common_value(left, rest, scan=400):
     unit2 = (targets[2] // 2 if targets[2] % 2 == 0 else targets[2]) % 8
     rho8 = unit2 * pow(sigma * m2 % 8, -1, 8) % 8
     congs.append((rho8, 8))
-    q = least_prime_in_ap(crt_solve(congs), 8 * math.prod(p for p in places if p != 2))
+    q = next(primes_in_ap(crt_solve(congs), 8 * math.prod(p for p in places if p != 2)))
     t = sigma * m * q
-    assert _represents_Q(list(left), t) and _represents_Q(list(rest), -t)
+    if not (_represents_Q(list(left), t) and _represents_Q(list(rest), -t)):
+        raise RuntimeError("assembled value %d is not represented as required" % t)
     return t
 
 
@@ -734,11 +674,13 @@ def _descent_zero(cs):
     rest = [red[k] for k in rest_idx]
     t = _common_value((red[i], red[j]), rest)
     alpha, beta, w = _ternary_zero(red[i], red[j], -t)
-    assert w != 0
+    if w == 0:
+        raise RuntimeError("split-off pair does not represent %d" % t)
     if len(rest) == 2:
         rz = _ternary_zero(rest[0], rest[1], t)
         ry, u = rz[:2], rz[2]
-        assert u != 0
+        if u == 0:
+            raise RuntimeError("remainder does not represent %d" % -t)
     else:
         rz = _descent_zero(rest + [t])
         ry, u = rz[:-1], rz[-1]
@@ -787,11 +729,12 @@ def cassels_isotropic_vector(g: DiagForm) -> tuple:
             if y is not None:
                 break
     if y is not None:
-        assert g.evaluate(y) == 0 and any(y)
-        assert max(abs(t) for t in y) <= bound
-        return y
-    y = _descent_zero(list(cs))
-    assert g.evaluate(y) == 0 and any(y)
+        if max(abs(t) for t in y) > bound:
+            raise RuntimeError("bounded search left the Cassels bound: %s" % (y,))
+    else:
+        y = _descent_zero(list(cs))
+    if g.evaluate(y) != 0 or not any(y):
+        raise RuntimeError("not an isotropic vector of %s: %s" % (g, y))
     return y
 
 
@@ -809,7 +752,8 @@ def represent_one(g: DiagForm) -> tuple:
         i = next(j for j in range(n) if y[j])
         alpha = Fraction(1 - cs[i], 2 * cs[i] * y[i])
         x = tuple(Fraction(1 if j == i else 0) + alpha * y[j] for j in range(n))
-    assert g.evaluate(x) == 1
+    if g.evaluate(x) != 1:
+        raise RuntimeError("%s does not take the value 1 at %s" % (g, x))
     return x
 
 
@@ -886,15 +830,17 @@ def reduce_once(g: DiagForm):
     perp = _perp_basis([int(c) for c in cs], x)
     cols = [list(x)] + _lll_columns([abs(int(c)) for c in cs], perp)
     z = gram_matrix(cs, cols)
-    assert z[0][0] == 1 and all(z[0][j] == 0 for j in range(1, n))
+    if z[0][0] != 1 or any(z[0][1:]):
+        raise RuntimeError("basis of x-perp is not orthogonal to x")
 
     for k in range(1, n + 1):
         if _leading_minor_det(z, k) == 0:
             cols = _repair_basis(cs, cols, k, log["repairs"])
             z = gram_matrix(cs, cols)
 
-    # Cramer diagonalization: columns w_k with Z_kk w_k = e_k, cleared to integers
-    p23 = [[Fraction(0)] * n for _ in range(n)]
+    # Cramer diagonalization: w_k with Z_kk w_k = e_k, cleared to integers,
+    # weights cols[0..k] into column k of P (the upper-triangular P2P3)
+    pcols = []
     b = []
     for k in range(n):
         sub = [row[: k + 1] for row in z[: k + 1]]
@@ -904,24 +850,24 @@ def reduce_once(g: DiagForm):
         col = [t * ck for t in w]
         if col[k] < 0:
             col = [-t for t in col]
-        for i in range(k + 1):
-            p23[i][k] = col[i]
+        pcols.append(
+            [sum((c * v[r] for c, v in zip(col, cols)), Fraction(0)) for r in range(n)]
+        )
         bk = sum(
             (col[i] * z[i][j] * col[j] for i in range(k + 1) for j in range(k + 1)),
             Fraction(0),
         )
-        assert bk.denominator == 1 and bk != 0
+        if bk.denominator != 1 or bk == 0:
+            raise RuntimeError("diagonal entry %s is not a nonzero integer" % bk)
         b.append(int(bk))
 
-    p1 = [[cols[j][i] for j in range(n)] for i in range(n)]
-    p = mat_mul(p1, p23)
-    check = gram_matrix(cs, [[p[i][j] for i in range(n)] for j in range(n)])
-    assert all(
-        check[i][j] == (b[i] if i == j else 0) for i in range(n) for j in range(n)
-    ), "reduction round lost exactness"
-    assert b[0] == 1
+    check = gram_matrix(cs, pcols)
+    if b[0] != 1 or any(
+        check[i][j] != (b[i] if i == j else 0) for i in range(n) for j in range(n)
+    ):
+        raise RuntimeError("reduction round lost exactness")
     log["b"] = b
-    return p, DiagForm(tuple(b)), log
+    return [list(row) for row in zip(*pcols)], DiagForm(tuple(b)), log
 
 
 # ---------------------------------------------------------------------------
@@ -970,15 +916,12 @@ def verify_isometry(p, source: DiagForm, target: DiagForm) -> bool:
     )
 
 
-def _column_op(m, op):
-    return mat_mul(m, op)
-
-
 def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
     """Exact rational isometry from g7 onto <1,1,1,1,1,1,-1>.
 
     g7 must be integral of rank 7 and rationally isometric to the
-    target (checked up front, ValueError otherwise).
+    target (checked up front, ValueError otherwise).  P is kept as its
+    7 columns; every step below is a column operation on them.
     """
     n = 7
     target = standard_lorentzian(6)
@@ -988,23 +931,19 @@ def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
         raise ValueError("form is not rationally isometric to the standard form")
 
     cur = list(g7.int_coeffs())
-    m = mat_identity(n)
+    cols = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
     steps = []
     for _ in range(40):
         # square-reduce coefficients (column scalings)
         for i in range(n):
             s, t = partial_squarefree(cur[i])
             if t != 1:
-                op = mat_identity(n)
-                op[i][i] = Fraction(1, t)
-                m = _column_op(m, op)
+                cols[i] = [x / t for x in cols[i]]
                 cur[i] = s
         # stable reorder: +1 coefficients first, the -1 (if any) last
         perm = sorted(range(n), key=lambda i: (0 if cur[i] == 1 else (2 if cur[i] == -1 else 1), 0))
-        if perm != list(range(n)):
-            op = [[Fraction(1 if perm[j] == i else 0) for j in range(n)] for i in range(n)]
-            m = _column_op(m, op)
-            cur = [cur[i] for i in perm]
+        cols = [cols[i] for i in perm]
+        cur = [cur[i] for i in perm]
         if cur == [1, 1, 1, 1, 1, 1, -1]:
             break
         lead = 0
@@ -1018,18 +957,21 @@ def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
         if sub.rank == 1:
             raise RuntimeError("irreducible residual coefficient %s" % sub)
         p_sub, g_sub, log = reduce_once(sub)
-        op = mat_identity(n)
-        for a, ia in enumerate(active):
-            for bcol, jb in enumerate(active):
-                op[ia][jb] = p_sub[a][bcol]
-        m = _column_op(m, op)
+        old = [cols[ia] for ia in active]
+        for bcol, jb in enumerate(active):
+            cols[jb] = [
+                sum((p_sub[a][bcol] * col[r] for a, col in enumerate(old)), Fraction(0))
+                for r in range(n)
+            ]
         for a, ia in enumerate(active):
             cur[ia] = int(g_sub.coeffs[a])
         steps.append(log)
     else:
         raise RuntimeError("reduction did not terminate")
 
-    assert verify_isometry(m, g7, target), "final congruence check failed"
+    m = [list(row) for row in zip(*cols)]
+    if not verify_isometry(m, g7, target):
+        raise RuntimeError("final congruence check failed")
     return IsometryWitness(
         P=m,
         source=g7,

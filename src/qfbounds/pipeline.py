@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -97,15 +97,7 @@ class PipelineConfig:
         return cls(**kwargs)
 
     def to_json(self) -> dict:
-        return {
-            "A": self.A,
-            "A1": self.A1,
-            "deg_kA": self.deg_kA,
-            "type_number_one": self.type_number_one,
-            "assume_rf": self.assume_rf,
-            "precision": self.precision,
-            "rmax_mode": self.rmax_mode,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +213,7 @@ class PipelineReport:
     warnings: list
 
     def to_json(self) -> dict:
-        return {
-            "input": self.input,
-            "invariants": self.invariants,
-            "field": self.field,
-            "quaternion": self.quaternion,
-            "complement": self.complement,
-            "isometry": self.isometry,
-            "bounds": self.bounds,
-            "geometry": self.geometry,
-            "K": self.K,
-            "preset": self.preset,
-            "config": self.config,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
     def json_str(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -391,9 +370,7 @@ def run_pipeline(
             }
         )
 
-    witness = _stage("complement", complementary_form, q)
-    if not verify_complement(q, witness.qc):
-        raise RuntimeError("[complement] constructed complement failed verification")
+    witness = _stage("complement", complementary_form, q)  # raises unless verified
     comp_json = witness.to_json()
     comp_json["verified"] = True
 
@@ -447,17 +424,9 @@ def _bounds_stage(K, norms_used, r_f_used, eps, V, cfg, iso, warnings):
                     "message": str(exc),
                 }
             )
-    # the sharp enumeration consumes the (possibly overridden) r_f
+    # the sharp coefficient uses the (possibly overridden) r_f
     if sharp is not None and sharp.r_f != r_f_used:
-        sharp = replace(
-            sharp,
-            r_f=r_f_used,
-            coefficient=(
-                2.0 ** ((sharp.max_S_size or 0) + r_f_used + 1) * cfg.deg_kA
-                if sharp.mode == "V"
-                else 2.0 ** (r_f_used + 3) * cfg.deg_kA
-            ),
-        )
+        sharp = replace(sharp, r_f=r_f_used)
     log10_D = iso.log10_D_level42
     total = total_index_bound(ce.log10, log10_D, eps, V if V is not None else 1.0)
     total_json = _bound_json(total, "parameterized (A, A1)")
@@ -594,7 +563,7 @@ def verify_paper_corpus() -> list:
     )
 
     with mp.workdps(40):
-        zi = arithmetic.zeta_k_2(ImagQuadField.from_d(1), 1e-13)
+        zi = arithmetic.zeta_k_2(ImagQuadField.from_d(1))
         lhs = float(mp.pi ** 2 * (4 * mp.catalan) / (4 * zi))
     out.append(
         _check("zeta-Qi-identity", abs(lhs - 6) < 1e-9, "pi^2*(4*Catalan)/(4*zeta_k(2)) = %.12f" % lhs)

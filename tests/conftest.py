@@ -8,7 +8,11 @@ fast enough; all verdicts are re-checked with exact Python integers.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -446,3 +450,18 @@ def explicit_isometry_rank2_general(q1, q2, zmax: int = 50):
     if p is None:
         return None
     return [[p[r][c] * den for c in range(2)] for r in range(2)]
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, *flags, timeout=120):
+    """Run `python *flags *args` with src/ on the path, in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *flags, *args], capture_output=True, env=env, timeout=timeout
+    )

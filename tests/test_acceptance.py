@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -139,7 +138,7 @@ def test_bianchi7_pipeline(b7_run):
 def test_zeta_identity():
     t0 = time.monotonic()
     K = ImagQuadField.from_d(1)
-    z = zeta_k_2(K, tol=1e-12)
+    z = zeta_k_2(K)
     val = math.pi ** 2 * (4.0 * CATALAN) / (4.0 * z)
     assert abs(val - 6.0) < 1e-9
     assert time.monotonic() - t0 < 5.0
@@ -373,15 +372,3 @@ def test_random_pipelines_end_to_end():
             assert any(y) and sum(c * t * t for c, t in zip(q.coeffs, y)) == 0
             assert max(abs(t) for t in y) <= cassels_bound(q)
 
-
-def test_spherical_barycenter_vs_vectors():
-    for n in range(1, 9):
-        verts = np.eye(n + 1)
-        c_full = verts.mean(axis=0)
-        c_full /= np.linalg.norm(c_full)
-        for k in range(n):
-            c_face = verts[: k + 1].mean(axis=0)
-            c_face /= np.linalg.norm(c_face)
-            want = math.acos(float(np.clip(np.dot(c_full, c_face), -1.0, 1.0)))
-            got = float(geometry.spherical_barycenter_distance(n, k))
-            assert got == pytest.approx(want, abs=1e-12)

@@ -19,8 +19,6 @@ from qfbounds.arithmetic import (
     THEOREM_PREFACTOR,
     CovolumeParams,
     ImagQuadField,
-    bianchi_special_index,
-    c1_eps_bound,
     c2_bound,
     c_eps_bound,
     c_prime_eps,
@@ -28,7 +26,6 @@ from qfbounds.arithmetic import (
     eichler_covolume,
     field_from_form,
     generic_S_rf_bound,
-    h_k_upper_bound,
     maximal_covolume,
     prime_norm,
     prime_norms_ascending,
@@ -137,10 +134,11 @@ def test_splitting_partition():
 
 
 def test_h_k_upper_bound_dominates():
+    # the documented bound h_k <= 242 * d_k^{3/4}
     for d in range(1, 201):
         if is_squarefree(d):
             K = ImagQuadField.from_d(d)
-            assert h_k_upper_bound(K) >= K.h_k
+            assert 242 * K.d_k ** 0.75 >= K.h_k
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +150,6 @@ def test_zeta2_gaussian_closed_form():
     with mp.workdps(40):
         ref = float(mp.pi ** 2 / 6 * mp.catalan)
     assert abs(zeta_k_2(K) - ref) < 1e-12
-    assert abs(K.zeta2() - ref) < 1e-12
 
 
 def test_zeta2_d7_vs_hurwitz():
@@ -173,11 +170,6 @@ def test_zeta2_ideal_sum_crosscheck():
     d20 = abs(zeta_k_2_ideal_sum(K, 20_000) - zeta_k_2(K))
     d50 = abs(zeta_k_2_ideal_sum(K, 50_000) - zeta_k_2(K))
     assert d50 < d20
-
-
-def test_zeta2_tolerance_validation():
-    with pytest.raises(ValueError):
-        zeta_k_2(ImagQuadField.from_d(1), tol=0.0)
 
 
 @pytest.mark.parametrize("d", [3, 1, 7, 2, 77])  # d_k = 3, 4, 7, 8, 308
@@ -206,7 +198,7 @@ def test_zeta2_memoized_per_discriminant():
     K = ImagQuadField.from_d(7)
     first = zeta_k_2(K)
     hits = _zeta_k_2_of_disc.cache_info().hits
-    assert zeta_k_2(ImagQuadField.from_d(7), tol=1e-13) == first
+    assert zeta_k_2(ImagQuadField.from_d(7)) == first
     assert _zeta_k_2_of_disc.cache_info().hits == hits + 1
 
 
@@ -346,15 +338,13 @@ def test_c_prime_eps_rejects_overflow():
 
 def test_c1_and_c_eps_bounds():
     K = ImagQuadField.from_d(1)
-    b = c1_eps_bound(K, 1.0)
-    # 2^(C'_1 + 2) * 121 * 4^(3/2) = 2^272.5 * 968
-    assert abs(b.log10 - (272.5 * math.log10(2) + math.log10(968))) < 1e-10
-    assert b.parameterized_by == ()
+    # A1 = 0 removes the omega(d_k) factor and leaves
+    # C1 = 2^(C'_1 + 2) * 121 * 4^(3/2) = 2^272.5 * 968
+    c1 = c_eps_bound(K, 1.0, A1=0.0)
+    assert abs(c1.log10 - (272.5 * math.log10(2) + math.log10(968))) < 1e-10
     ce = c_eps_bound(K, 1.0)
     assert ce.parameterized_by == ("A1",)
-    # A1 = 0 removes the omega(d_k) factor and recovers C1
-    assert abs(c_eps_bound(K, 1.0, A1=0.0).log10 - b.log10) < 1e-12
-    assert ce.log10 > b.log10
+    assert ce.log10 > c1.log10
     with pytest.raises(ValueError):
         c_eps_bound(K, 1.0, A1=-0.5)
 
@@ -377,7 +367,7 @@ def test_generic_S_rf_bound_values():
 
 def test_bound_value_human_format():
     K = ImagQuadField.from_d(1)
-    assert c1_eps_bound(K, 1.0).human.startswith("<= 10^85.016549")
+    assert c_eps_bound(K, 1.0, A1=0.0).human.startswith("<= 10^85.016549")
     assert c_eps_bound(K, 1.0).human.endswith("(parameterized by A1)")
 
 
@@ -468,14 +458,6 @@ def test_total_index_bound_generic():
     assert THEOREM_PREFACTOR == 51840
     tot = total_index_bound(1.0, 2.0, 1.0, 10.0)
     assert abs(tot.log10 - (math.log10(51840) + 1.0 + 2.0 + 1.0)) < 1e-12
-
-
-def test_bianchi_special_index():
-    K = ImagQuadField.from_d(1)
-    b = bianchi_special_index(1, 1.0, 10.0)
-    want = math.log10(120) + c_eps_bound(K, 1.0).log10 + math.log10(10.0)
-    assert abs(b.log10 - want) < 1e-12
-    assert b.parameterized_by == ("A1",)
 
 
 def test_json_round_trips():

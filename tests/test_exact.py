@@ -11,8 +11,8 @@ from qfbounds.exact import (
     factorize,
     is_prime,
     kronecker_symbol,
-    least_prime_in_ap,
     parse_rat,
+    primes_in_ap,
     rat_str,
     rational_sqrt,
     smallest_nonresidue_prime,
@@ -134,9 +134,13 @@ def test_smallest_nonresidue_prime():
 
 
 def test_least_prime_in_ap_fixed_values():
-    assert least_prime_in_ap(1, 1) == 2
-    assert least_prime_in_ap(1, 4) == 5
-    assert least_prime_in_ap(3, 10) == 3
+    assert next(primes_in_ap(1, 1)) == 2
+    assert next(primes_in_ap(1, 4)) == 5
+    assert next(primes_in_ap(3, 10)) == 3
+    with pytest.raises(ValueError):
+        next(primes_in_ap(1, 0))
+    with pytest.raises(ValueError):
+        next(primes_in_ap(2, 4))
 
 
 def test_least_prime_in_ap_against_scan():
@@ -148,7 +152,7 @@ def test_least_prime_in_ap_against_scan():
             if math.gcd(a, m) != 1:
                 continue
             expected = next(p for p in primes if p % m == a % m)
-            assert least_prime_in_ap(a, m) == expected
+            assert next(primes_in_ap(a, m)) == expected
 
 
 def test_rational_sqrt():

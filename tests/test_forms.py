@@ -9,7 +9,6 @@ import pytest
 from qfbounds.forms import (
     INF,
     DiagForm,
-    diagonalize_symmetric,
     hasse_witt,
     hilbert_symbol,
     invariant_profile,
@@ -203,24 +202,6 @@ def test_congruence_invariance_of_profiles():
         places = set(p1.hasse_witt) | set(p2.hasse_witt)
         for v in places:
             assert p1.hasse_witt.get(v, 1) == p2.hasse_witt.get(v, 1)
-
-
-def test_library_diagonalization_agrees_with_oracle():
-    rng = random.Random(207)
-    for _ in range(60):
-        n = rng.randint(2, 4)
-        coeffs = tuple(random_nonzero(rng, -9, 9) for _ in range(n))
-        u = random_unimodular(rng, n)
-        m = [
-            [Fraction(sum(coeffs[k] * u[k][i] * u[k][j] for k in range(n))) for j in range(n)]
-            for i in range(n)
-        ]
-        p, diag = diagonalize_symmetric(m)
-        cols = [[p[i][j] for i in range(n)] for j in range(n)]
-        for i in range(n):
-            for j in range(n):
-                val = sum(m[a][b] * cols[i][a] * cols[j][b] for a in range(n) for b in range(n))
-                assert val == (diag[i] if i == j else 0)
 
 
 def _congruent_partner(rng, coeffs):

@@ -19,11 +19,9 @@ from qfbounds.geometry import (
     P6_GROUP_ORDER,
     CoxeterSimplex,
     ball_poly_p,
-    ball_volume_h6,
     cusp_cross_section_volume,
     effective_K,
     gram_from_diagram,
-    horoball_contains,
     hyp_distance,
     lorentz_gram_factor,
     lorentz_product,
@@ -35,10 +33,6 @@ from qfbounds.geometry import (
     rf_growth_constant,
     rmax_bound_from_volume,
     set_precision,
-    slice_radius_from_height,
-    spherical_barycenter_distance,
-    spherical_inradius,
-    tube_volume,
     unit_ball_volume,
     vertices_from_normals,
 )
@@ -226,8 +220,9 @@ def test_vertices_reject_ultra_ideal_rows():
 def test_horoball_membership():
     S = _simplex()
     x = S.vertices
-    assert horoball_contains(x[0], x[1])  # boundary point
-    assert not horoball_contains(x[0], x[6])  # x7 is d_max away from the cusp
+    # the horoball at x1 is {y : y.x1 >= -1}
+    assert abs(lorentz_product(x[1], x[0]) + 1) < TIGHT  # x2 is on its boundary
+    assert lorentz_product(x[6], x[0]) < -1  # x7 is d_max away from the cusp
 
 
 def test_project_rejects_interior_points():
@@ -257,51 +252,8 @@ def test_hyp_distance_validation():
         hyp_distance(S.vertices[6], (0, 0, 0, 0, 0, 0, 0.5))
 
 
-def test_slice_radius_vs_half_space_model():
-    """In the upper half-space model a geodesic reaching depth h inside
-    the horoball z >= 1 is a semicircle of Euclidean radius e^h; its
-    endpoints on z = 1 satisfy cosh(dist) = 2 e^{2h} - 1.  The slice
-    radius is half that distance."""
-    with mp.workdps(60):
-        for h in (mpf(0), mpf(1) / 10, mpf(1), mpf(3)):
-            got = slice_radius_from_height(h)
-            want = mpmath.acosh(2 * mpmath.exp(2 * h) - 1) / 2
-            assert abs(got - want) < TIGHT
-    with pytest.raises(ValueError):
-        slice_radius_from_height(-0.1)
-
-
 # ---------------------------------------------------------------------------
-# spherical links, balls, tubes
-
-
-def test_spherical_inradius_direct():
-    with mp.workdps(60):
-        for n in range(1, 9):
-            bary = [1 / sqrt(n + 1)] * (n + 1)
-            # distance from the barycenter to the wall x_i = 0
-            want = mpmath.asin(bary[-1])
-            assert abs(spherical_inradius(n) - want) < TIGHT
-    with pytest.raises(ValueError):
-        spherical_inradius(0)
-
-
-def test_spherical_barycenter_distance_direct():
-    with mp.workdps(60):
-        for n in range(1, 9):
-            full = [1 / sqrt(n + 1)] * (n + 1)
-            for k in range(0, n):
-                face = [1 / sqrt(k + 1)] * (k + 1) + [0] * (n - k)
-                dot = mpmath.fsum(a * b for a, b in zip(full, face))
-                want = mpmath.acos(dot)
-                assert abs(spherical_barycenter_distance(n, k) - want) < TIGHT
-        # the inradius is the distance to the nearest facet barycenter
-        for n in range(2, 9):
-            assert abs(spherical_inradius(n) - spherical_barycenter_distance(n, n - 1)) < TIGHT
-    with pytest.raises(ValueError):
-        spherical_barycenter_distance(3, 3)
-    with pytest.raises(ValueError):
-        spherical_barycenter_distance(3, -1)
+# balls
 
 
 def test_unit_ball_volumes():
@@ -314,18 +266,6 @@ def test_unit_ball_volumes():
         assert abs(unit_ball_volume(5) - 8 * pi ** 2 / 15) < TIGHT
     with pytest.raises(ValueError):
         unit_ball_volume(-1)
-
-
-def test_tube_volume():
-    with mp.workdps(60):
-        R, L = mpf(3) / 2, mpf(7) / 3
-        want = 8 * mpf(mpmath.pi) ** 2 / 15 * mpmath.sinh(R) ** 5 * L
-        assert abs(tube_volume(5, R, L) - want) < TIGHT
-        assert tube_volume(5, 0, L) == 0
-    with pytest.raises(ValueError):
-        tube_volume(5, -1, 1)
-    with pytest.raises(ValueError):
-        tube_volume(5, 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +327,7 @@ def test_ball_poly_root_and_quadrature():
         pi3 = mpf(mpmath.pi) ** 3
         for r in (mpf(1) / 2, mpf("1.7"), mpf(3)):
             direct = pi3 * mpmath.quad(lambda t: mpmath.sinh(t) ** 5, [0, r])
-            assert abs(ball_volume_h6(r) - direct) < mpf(10) ** -40
-        assert ball_volume_h6(0) == 0
-    with pytest.raises(ValueError):
-        ball_volume_h6(-1)
+            assert abs(pi3 * ball_poly_p(mpmath.cosh(r)) - direct) < mpf(10) ** -40
 
 
 def test_rmax_bound_inverts_ball_volume():

@@ -11,15 +11,13 @@ print(run_preset('m306').json_str())" > tests/golden/m306.json
 > tests/golden/k_constant_m306.json
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden"
+from conftest import run_python
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _PRESET = "from qfbounds.pipeline import run_preset; print(run_preset(%r).json_str())"
 
@@ -28,20 +26,6 @@ CASES = {
     "bianchi7.json": ["-c", _PRESET % "bianchi7"],
     "k_constant_m306.json": ["-m", "qfbounds.cli", "k-constant", "--preset", "m306", "--json"],
 }
-
-
-def run_python(args, *flags, timeout=120):
-    """Run python with src/ on the path; returns the CompletedProcess."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, *flags, *args],
-        capture_output=True,
-        env=env,
-        timeout=timeout,
-    )
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

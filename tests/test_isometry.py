@@ -10,10 +10,7 @@ import pytest
 from qfbounds.complement import complementary_form
 from qfbounds.forms import DiagForm, is_isometric_Q, standard_lorentzian
 from qfbounds.isometry import (
-    BoundFns,
     bound_E,
-    bound_F,
-    bound_G,
     cassels_bound,
     cassels_isotropic_vector,
     congruence_index_bound,
@@ -26,7 +23,7 @@ from qfbounds.isometry import (
     _perp_basis,
 )
 
-from conftest import cassels_box_bound, random_nonzero
+from conftest import cassels_box_bound, random_nonzero, run_python
 
 Q61 = standard_lorentzian(6)
 
@@ -38,15 +35,6 @@ def test_bound_E_fixed_values():
     assert bound_E(DiagForm((1, -1))) == 18
     assert bound_E(DiagForm((2, -7))) == 420
     assert bound_E(DiagForm((1, 1, 1, -1))) == 450
-
-
-def test_bound_G_is_F_squared():
-    for coeffs in [(1, -1), (2, -7), (1, 2, 5, -10), (3, 4, -5)]:
-        g = DiagForm(coeffs)
-        fns = BoundFns.for_form(g)
-        assert fns.G == fns.F ** 2
-        assert fns.E > 0 and fns.F > 0
-        assert fns.E == bound_E(g) and fns.F == bound_F(g) and fns.G == bound_G(g)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +199,25 @@ def test_full_isometry_m306_like_form():
 def test_full_isometry_rejects_non_isometric_input():
     with pytest.raises(ValueError):
         full_isometry_to_standard(DiagForm((1, 1, 1, 1, 1, 1, -7)))
+
+
+_FAILED_FINAL_CHECK = """
+import qfbounds.isometry as iso
+from qfbounds.forms import DiagForm
+
+iso.verify_isometry = lambda *args: False
+try:
+    iso.full_isometry_to_standard(DiagForm((2, 5, 10, 1, 2, 5, -10)))
+except RuntimeError as exc:
+    print("RuntimeError:", exc)
+"""
+
+
+def test_final_check_survives_optimize_flag():
+    # under python -O an assert would vanish; the final check must not
+    proc = run_python(["-c", _FAILED_FINAL_CHECK], "-O")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"RuntimeError: final congruence check failed\n"
 
 
 def test_verify_isometry_basics():

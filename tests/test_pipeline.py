@@ -18,6 +18,8 @@ from qfbounds.pipeline import (
     verify_paper_corpus,
 )
 
+from conftest import run_python
+
 
 @pytest.fixture(scope="module")
 def m306():
@@ -420,6 +422,30 @@ def test_cli_bounds_bad_eps_exit_code(capsys, eps):
     assert out == ""
     assert err.startswith("error: [bounds] eps")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("vol", ["nan", "inf"])
+def test_cli_bounds_bad_volume_exit_code(capsys, vol):
+    code, out, err = run_cli(capsys, ["bounds", "1,2,5,10", "--vol", vol, "--json"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: [bounds] V must be finite and positive, got %s\n" % vol
+
+
+def test_cli_k_constant_infinite_volume_exit_code():
+    # a fresh process with a timeout: an unbounded volume once never returned
+    proc = run_python(["-m", "qfbounds.cli", "k-constant", "--vol", "inf", "--json"], timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: volume must be finite and positive")
+    assert proc.stderr.count(b"\n") == 1
+
+
+def test_cli_k_constant_bad_eps_exit_code(capsys):
+    code, out, err = run_cli(capsys, ["k-constant", "--vol", "1", "--eps", "nan", "--json"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: eps must be finite and positive, got nan\n"
 
 
 def test_cli_zero_denominator_exit_code(capsys):
