@@ -433,7 +433,8 @@ def test_cli_bounds_bad_volume_exit_code(capsys, vol):
 
 
 def test_cli_k_constant_infinite_volume_exit_code():
-    # a fresh process with a timeout: an unbounded volume once never returned
+    # a fresh process with a timeout, so that a volume the bisection cannot
+    # bracket fails the test instead of hanging the suite
     proc = run_python(["-m", "qfbounds.cli", "k-constant", "--vol", "inf", "--json"], timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == b""
