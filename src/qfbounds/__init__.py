@@ -18,7 +18,6 @@ from .isometry import (
     bound_E,
     cassels_bound,
     cassels_isotropic_vector,
-    congruence_index_bound,
     full_isometry_to_standard,
     represent_one,
     verify_isometry,
@@ -71,7 +70,6 @@ __all__ = [
     "bound_E",
     "cassels_bound",
     "cassels_isotropic_vector",
-    "congruence_index_bound",
     "full_isometry_to_standard",
     "represent_one",
     "verify_isometry",

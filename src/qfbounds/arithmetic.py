@@ -17,10 +17,10 @@ identity zeta_k(2) = zeta(2) * d_k**-2 * sum_r chi(r) * zeta(2, r/d_k),
 in O(d_k) mpmath calls at a fixed precision, and memoized per
 discriminant.
 
-Two absolute constants from the underlying effectivity results (called
-A and A1 here) are never pinned numerically by the source material;
-they are configuration inputs with default 1, and every output that
-depends on them says so in its human-readable rendering.
+The absolute constant A1 of the underlying effectivity results is never
+pinned numerically by the source material; it is a configuration input
+with default 1, and every output that depends on it says so in its
+human-readable rendering.
 """
 
 from __future__ import annotations

@@ -11,16 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import mpmath
 
 from . import geometry
-from .complement import complementary_form
 from .forms import DiagForm, invariant_profile, is_isotropic_Q
-from .isometry import full_isometry_to_standard
 from .pipeline import (
     PRESETS,
     PipelineConfig,
+    complement_stage,
+    isometry_stage,
+    k_block,
     run_pipeline,
     run_preset,
     verify_paper_corpus,
@@ -42,10 +44,11 @@ def _emit(args, payload: dict, human_lines) -> None:
             print(line)
 
 
-def _load_config(args) -> PipelineConfig:
-    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    if args.precision:
-        geometry.set_precision(args.precision)
+def _load_config(args, default: PipelineConfig) -> PipelineConfig:
+    """The --config file, or else `default`, with --precision applied."""
+    cfg = PipelineConfig.from_file(args.config) if args.config else default
+    if args.precision is not None:
+        cfg = replace(cfg, precision=args.precision)
     return cfg
 
 
@@ -73,9 +76,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_complement(args) -> int:
     q = _parse_form(args.form)
-    w = complementary_form(q)  # raises unless the complement verifies
-    payload = w.to_json()
-    payload["verified"] = True
+    w, payload = complement_stage(q)
     lines = [
         "form        %s" % q,
         "d = %d, c = %d, x = %d" % (w.d, w.c, w.x),
@@ -89,14 +90,13 @@ def _cmd_complement(args) -> int:
 
 def _cmd_isometry(args) -> int:
     q = _parse_form(args.form)
-    w = complementary_form(q)
-    g7 = w.qc.direct_sum(q)
-    wit = full_isometry_to_standard(g7)
+    w, _ = complement_stage(q)
+    wit = isometry_stage(w)
     payload = wit.to_json()
     lines = [
         "form            %s" % q,
         "complement      %s" % w.qc,
-        "7-dim form      %s" % g7,
+        "7-dim form      %s" % wit.source,
         "denominator S   %d" % wit.S_denom,
         "log10 D (S^42)  %.6f" % wit.log10_D_S42,
         "log10 D (S^84)  %.6f" % wit.log10_D_level42,
@@ -108,7 +108,7 @@ def _cmd_isometry(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, PipelineConfig())
     q = _parse_form(args.form)
     rep = run_pipeline(q, args.eps, args.vol, cfg)
     payload = rep.to_json()
@@ -133,14 +133,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
-    if args.precision:
-        geometry.set_precision(args.precision)
-    consts = geometry.p6_constants()
-    sx = geometry.CoxeterSimplex.p6()
-    digits = geometry.PRECISION_DPS - 10
-    payload = consts.to_json()
+    cfg = _load_config(args, PipelineConfig())
+    payload = geometry.p6_constants(cfg.precision).to_json()
     payload["vertices"] = [
-        [mpmath.nstr(c, digits) for c in v] for v in sx.vertices
+        [mpmath.nstr(c, cfg.precision - 10) for c in v]
+        for v in geometry.CoxeterSimplex.p6(cfg.precision).vertices
     ]
     lines = ["%-14s %s" % (k, v) for k, v in payload.items() if k != "vertices"]
     lines.append("vertices:")
@@ -150,9 +147,9 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_k_constant(args) -> int:
-    cfg = _load_config(args)
     if args.preset:
-        rep = run_preset(args.preset, V=args.vol, config=None if not args.config else cfg)
+        cfg = _load_config(args, PRESETS[args.preset].config)
+        rep = run_preset(args.preset, V=args.vol, config=cfg)
         if rep.K is None:
             raise ValueError("preset %r has no fixed volume; pass --vol" % args.preset)
         payload = {"K": rep.K, "preset": rep.preset, "warnings": rep.warnings}
@@ -171,16 +168,8 @@ def _cmd_k_constant(args) -> int:
     else:
         if args.vol is None:
             raise ValueError("k-constant requires --vol (or --preset m306)")
-        kr = geometry.effective_K(
-            args.vol, args.eps, args.log10_C, args.log10_D, mode=cfg.rmax_mode
-        )
-        payload = {
-            "log10_K": float(kr["log10_K"]),
-            "log10_K_str": mpmath.nstr(kr["log10_K"], 20),
-            "h_max": mpmath.nstr(kr["h_max"], 20),
-            "cosh_r_max": mpmath.nstr(kr["cosh_r_max"], 20),
-            "mode": kr["mode"],
-        }
+        cfg = _load_config(args, PipelineConfig())
+        payload = k_block(args.vol, args.eps, args.log10_C, args.log10_D, cfg)
         lines = [
             "log10 K   %s" % payload["log10_K_str"],
             "h_max     %s" % payload["h_max"],
@@ -209,7 +198,7 @@ def _cmd_verify_paper(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--precision", type=int, default=None, help="geometry precision (decimal digits)")
+    common.add_argument("--precision", type=int, default=None, help="decimal digits of the geometry and K stages")
     common.add_argument("--config", type=str, default=None, help="key = value config file")
 
     parser = argparse.ArgumentParser(

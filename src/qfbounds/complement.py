@@ -98,9 +98,8 @@ def choose_c(q: DiagForm) -> int:
             c *= p
     # c and -d must land in different square classes at every p | 2d
     for p in sorted(fac):
-        assert not is_local_square(Fraction(c) / Fraction(-d), p), (
-            "square-class separation failed at p=%d" % p
-        )
+        if is_local_square(Fraction(c) / Fraction(-d), p):
+            raise RuntimeError("square-class separation failed at p=%d" % p)
     return c
 
 
@@ -135,15 +134,13 @@ def choose_x(q: DiagForm, c: int) -> int:
                 congruences.append((1, p))
             else:
                 cand = smallest_nonresidue_prime(p)
-                assert hilbert_symbol(cand, minus_cd, p) == -1, (
-                    "non-residue misses target at p=%d" % p
-                )
+                if hilbert_symbol(cand, minus_cd, p) != -1:
+                    raise RuntimeError("non-residue misses target at p=%d" % p)
                 congruences.append((cand, p))
     x1 = crt_solve(congruences)
     if x1 == 0:
         x1 = math.prod(m for _, m in congruences)
-    for p, t in targets.items():
-        assert hilbert_symbol(x1, minus_cd, p) == t
+    _require_targets(x1, minus_cd, targets)
 
     # defect primes: odd valuation of x1 at ell outside 2cd with ((-cd)/ell) = -1
     defect = []
@@ -160,16 +157,16 @@ def choose_x(q: DiagForm, c: int) -> int:
     for p in targets:
         if p != 2:
             m *= p
-    qprime = None
-    for cand in primes_in_ap(a % m, m):
-        if x1 % cand and a % cand:
-            qprime = cand
-            break
-    assert qprime is not None
+    qprime = next(cand for cand in primes_in_ap(a % m, m) if x1 % cand and a % cand)
     x = x1 * a * qprime
-    for p, t in targets.items():
-        assert hilbert_symbol(x, minus_cd, p) == t
+    _require_targets(x, minus_cd, targets)
     return x
+
+
+def _require_targets(x: int, minus_cd: Fraction, targets: dict[int, int]) -> None:
+    for p, t in targets.items():
+        if hilbert_symbol(x, minus_cd, p) != t:
+            raise RuntimeError("x=%d misses the local target at p=%d" % (x, p))
 
 
 def complementary_form(q: DiagForm) -> ComplementWitness:

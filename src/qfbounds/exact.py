@@ -209,7 +209,8 @@ def squarefree_part(r) -> tuple[int, Fraction]:
             t /= Fraction(p) ** ((e + 1) // 2)
         else:
             t /= Fraction(p) ** (e // 2)
-    assert s * t * t == r
+    if s * t * t != r:
+        raise RuntimeError("squarefree split %d * (%s)^2 is not %s" % (s, t, r))
     return s, t
 
 
@@ -257,7 +258,8 @@ def partial_squarefree(n: int, limit: int = 100_000) -> tuple[int, int]:
                 t *= r
             else:
                 s *= rest
-    assert s * t * t == n
+    if s * t * t != n:
+        raise RuntimeError("square split %d * %d^2 is not %d" % (s, t, n))
     return s, t
 
 
@@ -348,7 +350,8 @@ def smallest_nonresidue_prime(p: int) -> int:
     for q in primes():
         if legendre_symbol(q, p) == -1:
             return q
-        assert q < p, "no non-residue below p, impossible"
+        if q >= p:
+            raise RuntimeError("no prime non-residue below %d" % p)
 
 
 def primes_in_ap(a: int, m: int):

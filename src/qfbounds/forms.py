@@ -1,4 +1,5 @@
-"""Diagonal rational quadratic forms and their local-global invariants.
+"""Diagonal rational quadratic forms and their invariants over Q and its
+completions.
 
 A form <a_1, ..., a_n> is stored as a tuple of nonzero rationals.  The
 module computes Hilbert symbols over Q_p and R, Hasse-Witt invariants,

@@ -2,9 +2,13 @@
 polyhedron P6 and the horoball and ball-volume formulas feeding the
 geodesic residual-finiteness growth constant K.
 
-All computations run in high-precision floating point (mpmath, 50+
-significant digits).  Exact radical identities are certified through
-squared relations in tests, not symbolic algebra.
+All computations run in high-precision floating point (mpmath).  The
+entry points p6_constants, CoxeterSimplex.p6 and effective_K take the
+target precision as `digits` (decimal digits, 50 by default) and work
+at digits + 10; every other function computes at the caller's mpmath
+precision.  No precision is kept in module state.  Exact radical
+identities are certified through squared relations in tests, not
+symbolic algebra.
 
 Matrix conventions.  For a Coxeter simplex with Gram matrix A of
 signature (n,1) there are two natural triangular matrices:
@@ -27,20 +31,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 
-PRECISION_DPS = 50
-
 P6_GROUP_ORDER = 2 ** 7 * 3 ** 4 * 5  # order of the vertex stabilizer group
-
-
-def set_precision(digits: int) -> None:
-    """Set the target precision (decimal digits, minimum 15) module-wide."""
-    global PRECISION_DPS
-    PRECISION_DPS = max(int(digits), 15)
-
-
-def _wp():
-    """Working-precision context: target digits plus guard digits."""
-    return mp.workdps(PRECISION_DPS + 10)
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +42,8 @@ def lorentz_product(x, y):
     """sum(x_i y_i, i <= n) - x_{n+1} y_{n+1} for (n+1)-vectors."""
     if len(x) != len(y):
         raise ValueError("dimension mismatch: %d vs %d" % (len(x), len(y)))
-    with _wp():
-        s = mpmath.fsum(mpf(a) * mpf(b) for a, b in zip(x[:-1], y[:-1]))
-        return s - mpf(x[-1]) * mpf(y[-1])
+    s = mpmath.fsum(mpf(a) * mpf(b) for a, b in zip(x[:-1], y[:-1]))
+    return s - mpf(x[-1]) * mpf(y[-1])
 
 
 def gram_from_diagram(n: int, labels: dict) -> list:
@@ -63,21 +53,20 @@ def gram_from_diagram(n: int, labels: dict) -> list:
     {3, 4}; absent pairs commute (entry 0).  Entries are -cos(pi/m):
     -1/2 for 3, -1/sqrt(2) for 4, diagonal 1.
     """
-    with _wp():
-        A = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
-        for (i, j), m in labels.items():
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError("bad node pair (%d, %d)" % (i, j))
-            if m == 3:
-                val = mpf(-1) / 2
-            elif m == 4:
-                val = -1 / mpmath.sqrt(2)
-            else:
-                raise ValueError("unsupported edge label %r" % (m,))
-            if A[i][j] != 0 and A[i][j] != val:
-                raise ValueError("conflicting labels for pair (%d, %d)" % (i, j))
-            A[i][j] = A[j][i] = val
-        return A
+    A = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
+    for (i, j), m in labels.items():
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ValueError("bad node pair (%d, %d)" % (i, j))
+        if m == 3:
+            val = mpf(-1) / 2
+        elif m == 4:
+            val = -1 / mpmath.sqrt(2)
+        else:
+            raise ValueError("unsupported edge label %r" % (m,))
+        if A[i][j] != 0 and A[i][j] != val:
+            raise ValueError("conflicting labels for pair (%d, %d)" % (i, j))
+        A[i][j] = A[j][i] = val
+    return A
 
 
 def p6_diagram() -> tuple:
@@ -106,42 +95,40 @@ def lorentz_gram_factor(A) -> list:
     must have signature (n,1) with positive leading principal minors
     through n; then C is unique.
     """
-    with _wp():
-        n1 = len(A)
-        pos, neg = _signature_counts(A)
-        if not (pos == n1 - 1 and neg == 1):
-            raise ValueError(
-                "expected signature (%d,1), found (%d,%d)" % (n1 - 1, pos, neg)
-            )
+    n1 = len(A)
+    pos, neg = _signature_counts(A)
+    if not (pos == n1 - 1 and neg == 1):
+        raise ValueError(
+            "expected signature (%d,1), found (%d,%d)" % (n1 - 1, pos, neg)
+        )
 
-        def bform(u, v):
-            return mpmath.fsum(
-                u[i] * A[i][j] * v[j] for i in range(n1) for j in range(n1) if u[i] and v[j]
-            )
+    def bform(u, v):
+        return mpmath.fsum(
+            u[i] * A[i][j] * v[j] for i in range(n1) for j in range(n1) if u[i] and v[j]
+        )
 
-        basis = []
-        norms = []
-        for k in range(n1):
-            u = [mpf(1) if i == k else mpf(0) for i in range(n1)]
-            for prev, d in zip(basis, norms):
-                coef = bform(u, prev) / d
-                u = [ui - coef * pi_ for ui, pi_ in zip(u, prev)]
-            d = bform(u, u)
-            if k < n1 - 1 and d <= 0:
-                raise ValueError("leading principal minor %d is not positive" % (k + 1))
-            basis.append(u)
-            norms.append(d)
-        cols = [
-            [ui / mpmath.sqrt(abs(d)) for ui in u] for u, d in zip(basis, norms)
-        ]
-        return [[cols[j][i] for j in range(n1)] for i in range(n1)]
+    basis = []
+    norms = []
+    for k in range(n1):
+        u = [mpf(1) if i == k else mpf(0) for i in range(n1)]
+        for prev, d in zip(basis, norms):
+            coef = bform(u, prev) / d
+            u = [ui - coef * pi_ for ui, pi_ in zip(u, prev)]
+        d = bform(u, u)
+        if k < n1 - 1 and d <= 0:
+            raise ValueError("leading principal minor %d is not positive" % (k + 1))
+        basis.append(u)
+        norms.append(d)
+    cols = [
+        [ui / mpmath.sqrt(abs(d)) for ui in u] for u, d in zip(basis, norms)
+    ]
+    return [[cols[j][i] for j in range(n1)] for i in range(n1)]
 
 
 def normal_matrix_from_factor(C) -> list:
     """N = C^{-1}; columns are the unit inward facet normals."""
-    with _wp():
-        M = mpmath.matrix(C) ** -1
-        return [[M[i, j] for j in range(M.cols)] for i in range(M.rows)]
+    M = mpmath.matrix(C) ** -1
+    return [[M[i, j] for j in range(M.cols)] for i in range(M.rows)]
 
 
 def vertices_from_normals(C) -> tuple:
@@ -154,38 +141,37 @@ def vertices_from_normals(C) -> tuple:
     equals -1 (the deepest adjacent vertex touches the horoball
     boundary).
     """
-    with _wp():
-        n1 = len(C)
-        raw = []
-        for i in range(n1):
-            row = list(C[i])
-            row[-1] = -row[-1]
-            raw.append(row)
-        tol = mpf(10) ** (-(mp.dps - 10))
-        finite, ideal = {}, []
-        for i, v in enumerate(raw):
-            nrm = lorentz_product(v, v)
-            if abs(nrm) < tol:
-                ideal.append(i)
-            elif nrm < 0:
-                s = mpmath.sqrt(-nrm)
-                x = [c / s for c in v]
-                if x[-1] < 0:
-                    x = [-c for c in x]
-                finite[i] = x
-            else:
-                raise ValueError("vertex %d is ultra-ideal (positive norm)" % (i + 1))
-        out = [None] * n1
-        for i, x in finite.items():
-            out[i] = tuple(x)
-        for i in ideal:
-            v = raw[i]
-            if v[-1] < 0:
-                v = [-c for c in v]
-            m = max(lorentz_product(v, x) for x in finite.values())
-            lam = -1 / m
-            out[i] = tuple(lam * c for c in v)
-        return tuple(out)
+    n1 = len(C)
+    raw = []
+    for i in range(n1):
+        row = list(C[i])
+        row[-1] = -row[-1]
+        raw.append(row)
+    tol = mpf(10) ** (-(mp.dps - 10))
+    finite, ideal = {}, []
+    for i, v in enumerate(raw):
+        nrm = lorentz_product(v, v)
+        if abs(nrm) < tol:
+            ideal.append(i)
+        elif nrm < 0:
+            s = mpmath.sqrt(-nrm)
+            x = [c / s for c in v]
+            if x[-1] < 0:
+                x = [-c for c in x]
+            finite[i] = x
+        else:
+            raise ValueError("vertex %d is ultra-ideal (positive norm)" % (i + 1))
+    out = [None] * n1
+    for i, x in finite.items():
+        out[i] = tuple(x)
+    for i in ideal:
+        v = raw[i]
+        if v[-1] < 0:
+            v = [-c for c in v]
+        m = max(lorentz_product(v, x) for x in finite.values())
+        lam = -1 / m
+        out[i] = tuple(lam * c for c in v)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -207,9 +193,9 @@ class CoxeterSimplex:
         return cls(gram=freeze(A), factor=freeze(C), normal_matrix=freeze(N), vertices=xs)
 
     @classmethod
-    def p6(cls) -> "CoxeterSimplex":
-        n, labels = p6_diagram()
-        return cls.from_diagram(n, labels)
+    def p6(cls, digits: int = 50) -> "CoxeterSimplex":
+        with mp.workdps(digits + 10):
+            return cls.from_diagram(*p6_diagram())
 
     def normal(self, j: int) -> tuple:
         return tuple(self.normal_matrix[i][j] for i in range(len(self.normal_matrix)))
@@ -226,23 +212,21 @@ def project_to_horosphere(x, b) -> tuple:
     gamma(t) = exp(-t) x - (sinh t / (x.b)) b reaches the horosphere at
     t* = ln(-x.b).  x strictly inside the horoball is rejected.
     """
-    with _wp():
-        s = lorentz_product(x, b)
-        if s > -1 + mpf(10) ** (-(mp.dps - 10)):
-            raise ValueError("point lies inside the horoball; no outward projection")
-        t = mpmath.log(-s)
-        e = mpmath.exp(-t)
-        coef = mpmath.sinh(t) / s
-        return tuple(e * xi - coef * bi for xi, bi in zip(x, b))
+    s = lorentz_product(x, b)
+    if s > -1 + mpf(10) ** (-(mp.dps - 10)):
+        raise ValueError("point lies inside the horoball; no outward projection")
+    t = mpmath.log(-s)
+    e = mpmath.exp(-t)
+    coef = mpmath.sinh(t) / s
+    return tuple(e * xi - coef * bi for xi, bi in zip(x, b))
 
 
 def hyp_distance(x, y):
     """acosh(-x.y) for hyperboloid points."""
-    with _wp():
-        c = -lorentz_product(x, y)
-        if c < 1 - mpf(10) ** (-9):
-            raise ValueError("points are not at real distance (product %s)" % mpmath.nstr(c))
-        return mpmath.acosh(max(c, mpf(1)))
+    c = -lorentz_product(x, y)
+    if c < 1 - mpf(10) ** (-9):
+        raise ValueError("points are not at real distance (product %s)" % mpmath.nstr(c))
+    return mpmath.acosh(max(c, mpf(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +237,7 @@ def unit_ball_volume(n: int):
     """Euclidean unit n-ball volume pi^{n/2} / Gamma(n/2 + 1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    with _wp():
-        return mpf(mpmath.pi) ** (mpf(n) / 2) / mpmath.gamma(mpf(n) / 2 + 1)
+    return mpf(mpmath.pi) ** (mpf(n) / 2) / mpmath.gamma(mpf(n) / 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +247,19 @@ def unit_ball_volume(n: int):
 def cusp_cross_section_volume():
     """Euclidean volume of the cusp cross-section piece: a 5-cube flag
     simplex pair of edge 1/sqrt(2), i.e. edge^5 * 2 / (2^5 * 5!)."""
-    with _wp():
-        edge = 1 / mpmath.sqrt(2)
-        return edge ** 5 * 2 / (2 ** 5 * mpmath.factorial(5))
+    edge = 1 / mpmath.sqrt(2)
+    return edge ** 5 * 2 / (2 ** 5 * mpmath.factorial(5))
 
 
 def p6_sigma_volume():
     """Hyperbolic volume pi^3 / 777600 of the Coxeter simplex sigma."""
-    with _wp():
-        return mpf(mpmath.pi) ** 3 / 777600
+    return mpf(mpmath.pi) ** 3 / 777600
 
 
 def p6_V0_closed_form():
     """(2^{5/2} pi^3 - 3^4) / (2^{5/2} * 5 * 3)."""
-    with _wp():
-        c = mpmath.sqrt(2) * 4  # 2^{5/2}
-        return (c * mpf(mpmath.pi) ** 3 - 81) / (c * 15)
+    c = mpmath.sqrt(2) * 4  # 2^{5/2}
+    return (c * mpf(mpmath.pi) ** 3 - 81) / (c * 15)
 
 
 @dataclass(frozen=True)
@@ -290,37 +270,33 @@ class GeometryConstants:
     v_n1: object
     sigma_volume: object
     group_order: int
-    h_max: object = None
-    r_max: object = None
-    K_log10: object = None
+    digits: int  # the target precision they were computed at
 
     def to_json(self) -> dict:
         def s(v):
-            return None if v is None else mpmath.nstr(mpf(v), PRECISION_DPS - 10)
+            return mpmath.nstr(mpf(v), self.digits - 10)
 
         return {
-            "precision_digits": PRECISION_DPS,
+            "precision_digits": self.digits,
             "R": s(self.R),
             "d_max": s(self.d_max),
             "V0": s(self.V0),
             "v_n1": s(self.v_n1),
             "sigma_volume": s(self.sigma_volume),
             "group_order": self.group_order,
-            "h_max": s(self.h_max),
-            "r_max": s(self.r_max),
-            "K_log10": s(self.K_log10),
         }
 
 
-def p6_constants() -> GeometryConstants:
-    """Static constants of the P6 horoball packing.
+def p6_constants(digits: int = 50) -> GeometryConstants:
+    """Static constants of the P6 horoball packing, to `digits` decimal
+    digits (computed with 10 guard digits).
 
     R = ln(sqrt(7)+sqrt(6)); d_max = acosh(sqrt(3)); V0 is the volume
     of the cusp-free core piece: group_order * (sigma volume minus one
     fifth of the cusp cross-section volume), with closed form
     (2^{5/2} pi^3 - 3^4) / (2^{5/2} * 15).
     """
-    with _wp():
+    with mp.workdps(digits + 10):
         R = mpmath.log(mpmath.sqrt(7) + mpmath.sqrt(6))
         d_max = mpmath.acosh(mpmath.sqrt(3))
         V0 = P6_GROUP_ORDER * (p6_sigma_volume() - cusp_cross_section_volume() / 5)
@@ -331,6 +307,7 @@ def p6_constants() -> GeometryConstants:
             v_n1=unit_ball_volume(5),
             sigma_volume=p6_sigma_volume(),
             group_order=P6_GROUP_ORDER,
+            digits=digits,
         )
 
 
@@ -340,9 +317,8 @@ def p6_constants() -> GeometryConstants:
 
 def ball_poly_p(x):
     """p(x) = x^5/5 - 2x^3/3 + x - 8/15; V6(r) = pi^3 p(cosh r)."""
-    with _wp():
-        x = mpf(x)
-        return x ** 5 / 5 - 2 * x ** 3 / 3 + x - mpf(8) / 15
+    x = mpf(x)
+    return x ** 5 / 5 - 2 * x ** 3 / 3 + x - mpf(8) / 15
 
 
 def _invert_volume(f, vol, lo):
@@ -375,14 +351,13 @@ def rmax_bound_from_volume(vol, mode: str = "paper_h6"):
     dim3 mode solves the 3-dimensional relation
     pi (sinh 2r - 2r) = vol and returns cosh(r).
     """
-    with _wp():
-        vol = mpf(vol)
-        if mode == "paper_h6":
-            return _invert_volume(ball_poly_p, vol, mpf(1))
-        if mode == "dim3":
-            f = lambda r: mpf(mpmath.pi) * (mpmath.sinh(2 * r) - 2 * r)
-            return mpmath.cosh(_invert_volume(f, vol, mpf(0)))
-        raise ValueError("mode must be 'paper_h6' or 'dim3'")
+    vol = mpf(vol)
+    if mode == "paper_h6":
+        return _invert_volume(ball_poly_p, vol, mpf(1))
+    if mode == "dim3":
+        f = lambda r: mpf(mpmath.pi) * (mpmath.sinh(2 * r) - 2 * r)
+        return mpmath.cosh(_invert_volume(f, vol, mpf(0)))
+    raise ValueError("mode must be 'paper_h6' or 'dim3'")
 
 
 def rf_growth_constant(n: int, V_core, d_core, R, h_max=None):
@@ -393,11 +368,10 @@ def rf_growth_constant(n: int, V_core, d_core, R, h_max=None):
     depth parameter R + h_max (h_max itself enters only through them
     and is accepted for call-site documentation).
     """
-    with _wp():
-        V_core, d_core, R = mpf(V_core), mpf(d_core), mpf(R)
-        if V_core <= 0 or d_core < 0 or R < 0:
-            raise ValueError("arguments must be positive (V_core) / nonnegative")
-        return 2 * unit_ball_volume(n) / V_core * mpmath.sinh(R + d_core) ** n
+    V_core, d_core, R = mpf(V_core), mpf(d_core), mpf(R)
+    if V_core <= 0 or d_core < 0 or R < 0:
+        raise ValueError("arguments must be positive (V_core) / nonnegative")
+    return 2 * unit_ball_volume(n) / V_core * mpmath.sinh(R + d_core) ** n
 
 
 def _log_sinh(x):
@@ -414,22 +388,27 @@ def effective_K(
     log10_D,
     mode: str = "paper_h6",
     include_vol_eps: bool = True,
+    digits: int = 50,
 ) -> dict:
     """log10 of K = 2^7 3^4 5 * C_eps * D * vol^eps * (v_5(1)/V0)
-    * sinh^5(2(2R + d_max + ln p^{-1}(vol))).
+    * sinh^5(2(2R + d_max + ln p^{-1}(vol))), to `digits` decimal digits.
 
     Everything is assembled in log space; the sinh term uses the
     large-argument expansion of ln sinh.  include_vol_eps=False drops
     the vol^eps factor (a display variant seen in worked summaries of
     the same bound).  Returns the log10 value together with the
     per-manifold constants (h_max, cosh r_max) it used.  vol_M and eps
-    must be finite and positive (ValueError otherwise).
+    must be finite and positive, log10_C_eps and log10_D finite
+    (ValueError otherwise).
     """
-    with _wp():
+    if not (mpmath.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive, got %r" % eps)
+    for name, value in (("log10_C_eps", log10_C_eps), ("log10_D", log10_D)):
+        if not mpmath.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+    with mp.workdps(digits + 10):
         vol = mpf(vol_M)
-        if not (mpmath.isfinite(eps) and eps > 0):
-            raise ValueError("eps must be finite and positive, got %r" % eps)
-        consts = p6_constants()
+        consts = p6_constants(digits)
         cosh_rmax = rmax_bound_from_volume(vol, mode)
         h_max = mpmath.log(cosh_rmax)
         arg = 2 * (2 * consts.R + consts.d_max + h_max)
@@ -442,11 +421,11 @@ def effective_K(
             + mpmath.log(consts.v_n1 / consts.V0) / ln10
             + 5 * _log_sinh(arg) / ln10
         )
-        return {
-            "log10_K": log10_K,
-            "h_max": h_max,
-            "cosh_r_max": cosh_rmax,
-            "sinh_argument": arg,
-            "mode": mode,
-            "include_vol_eps": include_vol_eps,
-        }
+    return {
+        "log10_K": log10_K,
+        "h_max": h_max,
+        "cosh_r_max": cosh_rmax,
+        "sinh_argument": arg,
+        "mode": mode,
+        "include_vol_eps": include_vol_eps,
+    }

@@ -578,7 +578,7 @@ def _represents_Q(cs, t) -> bool:
 def _common_value(left, rest, scan=400):
     """Integer t represented by <left> with -t represented by <rest> over Q.
 
-    Tries small candidates first; when none pass the exact global tests
+    Tries small candidates first; when none pass the exact tests over Q
     the value is assembled from local square-class targets at the places
     of 2 * prod(coefficients) and one auxiliary prime, which reciprocity
     exempts from explicit conditions.
@@ -884,10 +884,12 @@ class IsometryWitness:
 
     @property
     def log10_D_S42(self) -> float:
+        """log10 S**42: the index bound at congruence level S."""
         return 42.0 * math.log10(self.S_denom)
 
     @property
     def log10_D_level42(self) -> float:
+        """log10 (S**2)**42: the index bound at congruence level S**2."""
         return 84.0 * math.log10(self.S_denom)
 
     def to_json(self) -> dict:
@@ -979,19 +981,3 @@ def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
         S_denom=mat_denominator_lcm(m),
         steps=steps,
     )
-
-
-def congruence_index_bound(s_denom: int) -> dict:
-    """Index bounds from the denominator S, in both conventions.
-
-    log10 of S**42 (congruence subgroup of level S, exponent from the
-    ambient dimension) and of (S**2)**42 (level taken as S**2).  Both
-    are reported; downstream consumers choose explicitly.
-    """
-    if s_denom < 1:
-        raise ValueError("S must be a positive integer")
-    return {
-        "S": s_denom,
-        "log10_D_S42": 42.0 * math.log10(s_denom),
-        "log10_D_level42": 84.0 * math.log10(s_denom),
-    }

@@ -33,9 +33,9 @@ from .arithmetic import (
     sharp_S_enumeration,
     total_index_bound,
 )
-from .complement import complementary_form, verify_complement
+from .complement import ComplementWitness, complementary_form, verify_complement
 from .forms import DiagForm, invariant_profile, is_isotropic_Q, standard_lorentzian
-from .isometry import full_isometry_to_standard, verify_isometry
+from .isometry import IsometryWitness, full_isometry_to_standard, verify_isometry
 
 Q61 = standard_lorentzian(6)
 
@@ -46,23 +46,28 @@ Q61 = standard_lorentzian(6)
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tunable constants and assertions; defaults are the documented ones.
+    """Every setting of a run; defaults are the documented ones.
 
-    A and A1 are the two absolute constants of the underlying
-    effectivity results, not pinned numerically by the source; bounds
-    that depend on them say so.  assume_rf replaces the computed
-    finite-ramification count in the bound stage (the computed value is
-    still reported, with a warning).  type_number_one asserts one
-    conjugacy class of maximal orders, making C2 = 1.
+    A1 is an absolute constant of the underlying effectivity results,
+    not pinned numerically by the source; bounds that depend on it say
+    so.  assume_rf replaces the computed finite-ramification count in
+    the bound stage (the computed value is still reported, with a
+    warning).  type_number_one asserts one conjugacy class of maximal
+    orders, making C2 = 1.  precision is the number of decimal digits
+    of the geometry and K stages, at least 15.  rmax_mode selects the
+    ball-volume inversion (geometry.rmax_bound_from_volume).
     """
 
-    A: float = 1.0
     A1: float = 1.0
     deg_kA: int = 1
     type_number_one: bool = False
     assume_rf: int | None = None
     precision: int = 50
     rmax_mode: str = "paper_h6"
+
+    def __post_init__(self):
+        if self.precision < 15:
+            raise ValueError("precision must be at least 15 digits, got %d" % self.precision)
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -82,7 +87,6 @@ class PipelineConfig:
     def from_mapping(cls, values: dict) -> "PipelineConfig":
         kwargs = {}
         casts = {
-            "A": float,
             "A1": float,
             "deg_kA": int,
             "type_number_one": lambda s: str(s).lower() in ("1", "true", "yes"),
@@ -298,7 +302,7 @@ REPORT_SCHEMA = {
                 "parameterized_by": {"type": "array", "items": {"type": "string"}},
                 "human": {"type": "string"},
                 "provenance": {
-                    "enum": ["computed", "parameterized (A, A1)", "paper-preset"]
+                    "enum": ["computed", "parameterized (A1)", "paper-preset"]
                 },
             },
         }
@@ -309,7 +313,7 @@ REPORT_SCHEMA = {
 def _bound_json(bv, provenance: str | None = None) -> dict:
     out = bv.to_json()
     if provenance is None:
-        provenance = "parameterized (A, A1)" if bv.parameterized_by else "computed"
+        provenance = "parameterized (A1)" if bv.parameterized_by else "computed"
     out["provenance"] = provenance
     return out
 
@@ -336,6 +340,10 @@ def run_pipeline(
     bounds -> (geometry and K when V is given).  Deterministic."""
     cfg = config or PipelineConfig()
     warnings = []
+    # eps and V are checked before the complement and the descent run
+    cpe = _stage("bounds", c_prime_eps, eps)
+    if V is not None:
+        _stage("bounds", arithmetic._require_volume, V)
 
     profile = _stage("invariants", invariant_profile, q)
     isotropic = _stage("invariants", is_isotropic_Q, q)
@@ -370,15 +378,11 @@ def run_pipeline(
             }
         )
 
-    witness = _stage("complement", complementary_form, q)  # raises unless verified
-    comp_json = witness.to_json()
-    comp_json["verified"] = True
-
-    g7 = witness.qc.direct_sum(q)
-    iso = _stage("isometry", full_isometry_to_standard, g7)
+    witness, comp_json = complement_stage(q)
+    iso = isometry_stage(witness)
     iso_json = iso.to_json()
 
-    bounds_json, sharp = _bounds_stage(K, norms_used, r_f_used, eps, V, cfg, iso, warnings)
+    bounds_json, sharp = _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, cfg, iso, warnings)
 
     geom_json = None
     k_json = None
@@ -405,8 +409,21 @@ def run_pipeline(
     )
 
 
-def _bounds_stage(K, norms_used, r_f_used, eps, V, cfg, iso, warnings):
-    cpe = _stage("bounds", c_prime_eps, eps)
+def complement_stage(q: DiagForm) -> tuple[ComplementWitness, dict]:
+    """The complement witness of q and its report block; raises unless
+    the complement verifies."""
+    witness = _stage("complement", complementary_form, q)
+    comp_json = witness.to_json()
+    comp_json["verified"] = True
+    return witness, comp_json
+
+
+def isometry_stage(witness: ComplementWitness) -> IsometryWitness:
+    """The exact isometry from qc + q to q_{6,1}."""
+    return _stage("isometry", full_isometry_to_standard, witness.qc.direct_sum(witness.q))
+
+
+def _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, cfg, iso, warnings):
     ce = c_eps_bound(K, eps, cfg.A1)
     c2 = c2_bound(K, cfg.type_number_one, cfg.A1)
     sharp = None
@@ -429,7 +446,7 @@ def _bounds_stage(K, norms_used, r_f_used, eps, V, cfg, iso, warnings):
         sharp = replace(sharp, r_f=r_f_used)
     log10_D = iso.log10_D_level42
     total = total_index_bound(ce.log10, log10_D, eps, V if V is not None else 1.0)
-    total_json = _bound_json(total, "parameterized (A, A1)")
+    total_json = _bound_json(total, "parameterized (A1)")
     total_sharp_json = None
     if sharp is not None:
         ts = total_index_bound(ce.log10, log10_D, eps, V if V is not None else 1.0, sharp=sharp)
@@ -450,40 +467,44 @@ def _bounds_stage(K, norms_used, r_f_used, eps, V, cfg, iso, warnings):
     return bounds_json, sharp
 
 
-def _k_stage(eps, V, cfg, iso, sharp, bounds_json, preset):
-    consts = geometry.p6_constants()
-    geom_json = consts.to_json()
-    if sharp is not None and sharp.mode == "V":
-        log10_C = math.log10(sharp.coefficient)
-        c_label = "sharp coefficient"
-    else:
-        log10_C = bounds_json["c_eps"]["log10"]
-        c_label = "C_eps (parameterized)"
-    if preset is not None and preset.published_total_log10 is not None:
-        log10_CD = preset.published_total_log10
-        cd_label = "paper-preset C*D"
-        kr = geometry.effective_K(V, eps, 0.0, log10_CD, mode=cfg.rmax_mode)
-        kr_disp = geometry.effective_K(
-            V, eps, 0.0, log10_CD, mode=cfg.rmax_mode, include_vol_eps=False
-        )
-    else:
-        log10_D = iso.log10_D_level42
-        cd_label = c_label + " * D(level42)"
-        kr = geometry.effective_K(V, eps, log10_C, log10_D, mode=cfg.rmax_mode)
-        kr_disp = geometry.effective_K(
-            V, eps, log10_C, log10_D, mode=cfg.rmax_mode, include_vol_eps=False
-        )
-    k_json = {
+def k_block(V, eps, log10_C, log10_D, cfg: PipelineConfig) -> dict:
+    """log10 K and the horoball constants it used, as `k-constant --vol`
+    prints them; the K block of a report adds to these."""
+    kr = geometry.effective_K(
+        V, eps, log10_C, log10_D, mode=cfg.rmax_mode, digits=cfg.precision
+    )
+    return {
         "log10_K": float(kr["log10_K"]),
         "log10_K_str": mpmath.nstr(kr["log10_K"], 20),
-        "log10_K_display_variant": float(kr_disp["log10_K"]),
         "h_max": mpmath.nstr(kr["h_max"], 20),
         "cosh_r_max": mpmath.nstr(kr["cosh_r_max"], 20),
-        "sinh_argument": mpmath.nstr(kr["sinh_argument"], 20),
         "mode": kr["mode"],
-        "C_D_source": cd_label,
-        "provenance": "computed",
     }
+
+
+def _k_stage(eps, V, cfg, iso, sharp, bounds_json, preset):
+    geom_json = geometry.p6_constants(cfg.precision).to_json()
+    log10_D = iso.log10_D_level42
+    if preset is not None and preset.published_total_log10 is not None:
+        log10_C, log10_D = 0.0, preset.published_total_log10
+        cd_label = "paper-preset C*D"
+    elif sharp is not None and sharp.mode == "V":
+        log10_C = math.log10(sharp.coefficient)
+        cd_label = "sharp coefficient * D(level42)"
+    else:
+        log10_C = bounds_json["c_eps"]["log10"]
+        cd_label = "C_eps (parameterized) * D(level42)"
+    k_json = k_block(V, eps, log10_C, log10_D, cfg)
+    # the sinh argument does not depend on the vol^eps factor
+    kr_disp = geometry.effective_K(
+        V, eps, log10_C, log10_D, mode=cfg.rmax_mode, include_vol_eps=False, digits=cfg.precision
+    )
+    k_json.update(
+        log10_K_display_variant=float(kr_disp["log10_K"]),
+        sinh_argument=mpmath.nstr(kr_disp["sinh_argument"], 20),
+        C_D_source=cd_label,
+        provenance="computed",
+    )
     return geom_json, k_json
 
 

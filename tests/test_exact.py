@@ -19,7 +19,7 @@ from qfbounds.exact import (
     squarefree_part,
 )
 
-from conftest import brute_is_square_mod, brute_primes
+from conftest import brute_is_square_mod, brute_primes, run_python
 
 
 def test_factorize_fixed_values():
@@ -67,6 +67,24 @@ def test_squarefree_part_random_rationals():
         # s squarefree: no prime square divides it
         for p, e in factorize(abs(s)):
             assert e == 1
+
+
+_WRONG_FACTORIZATION = """
+import qfbounds.exact as exact
+
+exact.factorize = lambda n, caps=None: [(2, 1)] if n > 1 else []
+try:
+    exact.squarefree_part(12)
+except RuntimeError as exc:
+    print("RuntimeError:", exc)
+"""
+
+
+def test_squarefree_check_survives_optimize_flag():
+    # under python -O an assert would vanish; the check must not
+    proc = run_python(["-c", _WRONG_FACTORIZATION], "-O")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"RuntimeError: squarefree split 2 * (1)^2 is not 12\n"
 
 
 def test_kronecker_fixed_values():

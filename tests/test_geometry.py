@@ -14,7 +14,6 @@ import mpmath
 import pytest
 from mpmath import mp, mpf, sqrt
 
-import qfbounds.geometry as geometry
 from qfbounds.geometry import (
     P6_GROUP_ORDER,
     CoxeterSimplex,
@@ -32,7 +31,6 @@ from qfbounds.geometry import (
     project_to_horosphere,
     rf_growth_constant,
     rmax_bound_from_volume,
-    set_precision,
     unit_ball_volume,
     vertices_from_normals,
 )
@@ -53,8 +51,8 @@ def _simplex():
 def test_gram_matrix_entries():
     n, labels = p6_diagram()
     assert n == 7
-    A = gram_from_diagram(n, labels)
     with mp.workdps(60):
+        A = gram_from_diagram(n, labels)
         half = mpf(1) / 2
         inv_sqrt2 = 1 / sqrt(2)
         for i in range(7):
@@ -221,8 +219,9 @@ def test_horoball_membership():
     S = _simplex()
     x = S.vertices
     # the horoball at x1 is {y : y.x1 >= -1}
-    assert abs(lorentz_product(x[1], x[0]) + 1) < TIGHT  # x2 is on its boundary
-    assert lorentz_product(x[6], x[0]) < -1  # x7 is d_max away from the cusp
+    with mp.workdps(60):
+        assert abs(lorentz_product(x[1], x[0]) + 1) < TIGHT  # x2 is on its boundary
+        assert lorentz_product(x[6], x[0]) < -1  # x7 is d_max away from the cusp
 
 
 def test_project_rejects_interior_points():
@@ -302,19 +301,7 @@ def test_p6_constants_values():
     blob = c.to_json()
     assert json.loads(json.dumps(blob, sort_keys=True)) == blob
     assert blob["group_order"] == 51840
-    assert blob["h_max"] is None and isinstance(blob["R"], str)
-
-
-def test_set_precision_floor_and_restore():
-    try:
-        set_precision(20)
-        assert geometry.PRECISION_DPS == 20
-        set_precision(5)
-        assert geometry.PRECISION_DPS == 15
-        assert abs(float(p6_constants().R) - 1.6283069774000263) < 1e-12
-    finally:
-        set_precision(50)
-    assert geometry.PRECISION_DPS == 50
+    assert blob["precision_digits"] == 50 and isinstance(blob["R"], str)
 
 
 # ---------------------------------------------------------------------------

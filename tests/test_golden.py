@@ -1,9 +1,9 @@
 """Byte-level golden reports.
 
 Each file under tests/golden/ is the standard output of one command; the
-test reruns the command in a fresh interpreter, so that a precision set
-by another test cannot leak in, and compares the bytes.  Regenerate a
-file only for a change that means to alter the report, with
+test reruns the command in a fresh interpreter, as a user would, and
+compares the bytes.  Regenerate a file only for a change that means to
+alter the report, with (bianchi7.json likewise)
 
     PYTHONPATH=src python -c "from qfbounds.pipeline import run_preset; \
 print(run_preset('m306').json_str())" > tests/golden/m306.json

@@ -10,10 +10,10 @@ import pytest
 from qfbounds.complement import complementary_form
 from qfbounds.forms import DiagForm, is_isometric_Q, standard_lorentzian
 from qfbounds.isometry import (
+    IsometryWitness,
     bound_E,
     cassels_bound,
     cassels_isotropic_vector,
-    congruence_index_bound,
     full_isometry_to_standard,
     mat_denominator_lcm,
     reduce_once,
@@ -237,13 +237,16 @@ def test_witness_json_and_index_bounds():
     assert js["log10_D_S42"] == pytest.approx(42 * math.log10(w.S_denom))
     assert js["log10_D_level42"] == pytest.approx(84 * math.log10(w.S_denom))
 
-    d = congruence_index_bound(1)
-    assert d["log10_D_S42"] == 0.0 and d["log10_D_level42"] == 0.0
-    d = congruence_index_bound(7)
-    assert d["log10_D_S42"] == pytest.approx(42 * math.log10(7))
-    assert d["log10_D_level42"] == pytest.approx(42 * math.log10(49))
-    d = congruence_index_bound(40)
-    assert d["log10_D_level42"] == pytest.approx(134.573, abs=5e-3)
+    def with_S(S):
+        return IsometryWitness(P=w.P, source=g, target=Q61, S_denom=S, steps=[])
+
+    d = with_S(1)
+    assert d.log10_D_S42 == 0.0 and d.log10_D_level42 == 0.0
+    d = with_S(7)
+    assert d.log10_D_S42 == pytest.approx(42 * math.log10(7))
+    assert d.log10_D_level42 == pytest.approx(42 * math.log10(49))
+    d = with_S(40)
+    assert d.log10_D_level42 == pytest.approx(134.573, abs=5e-3)
 
 
 def test_round_trip_random_forms():

@@ -6,7 +6,7 @@ import math
 import jsonschema
 import pytest
 
-from qfbounds import cli, geometry
+from qfbounds import cli, pipeline
 from qfbounds.arithmetic import generic_S_rf_bound
 from qfbounds.forms import DiagForm
 from qfbounds.pipeline import (
@@ -107,7 +107,7 @@ def test_m306_bounds(m306):
     ts = b["total_sharp"]
     assert ts["provenance"] == "computed"
     assert ts["log10"] == pytest.approx(math.log10(16.0) + b["log10_D_used"], rel=1e-12)
-    assert b["total"]["provenance"] == "parameterized (A, A1)"
+    assert b["total"]["provenance"] == "parameterized (A1)"
     V = m306.input["V"]
     assert b["generic_S_rf"] == pytest.approx(generic_S_rf_bound(1.0, V), rel=1e-12)
 
@@ -216,7 +216,7 @@ def test_run_preset_unknown_name():
 
 def test_config_defaults():
     cfg = PipelineConfig()
-    assert cfg.A == 1.0 and cfg.A1 == 1.0 and cfg.deg_kA == 1
+    assert cfg.A1 == 1.0 and cfg.deg_kA == 1
     assert cfg.type_number_one is False
     assert cfg.assume_rf is None
     assert cfg.precision == 50
@@ -226,7 +226,6 @@ def test_config_defaults():
 def test_config_from_mapping_casts():
     cfg = PipelineConfig.from_mapping(
         {
-            "A": "0.5",
             "A1": "2.5",
             "deg_kA": "2",
             "type_number_one": "yes",
@@ -235,7 +234,7 @@ def test_config_from_mapping_casts():
             "rmax_mode": "dim3",
         }
     )
-    assert cfg.A == 0.5 and cfg.A1 == 2.5 and cfg.deg_kA == 2
+    assert cfg.A1 == 2.5 and cfg.deg_kA == 2
     assert cfg.type_number_one is True
     assert cfg.assume_rf == 1
     assert cfg.precision == 40
@@ -246,6 +245,8 @@ def test_config_from_mapping_casts():
 def test_config_from_mapping_unknown_key():
     with pytest.raises(ValueError, match="unknown config key 'foo'"):
         PipelineConfig.from_mapping({"foo": "1"})
+    with pytest.raises(ValueError, match="unknown config key 'A'"):
+        PipelineConfig.from_mapping({"A": "1.0"})
 
 
 def test_config_from_file(tmp_path):
@@ -357,13 +358,38 @@ def test_cli_geometry_json(capsys):
 
 
 def test_cli_geometry_precision_flag(capsys):
-    try:
-        code, out, _ = run_cli(capsys, ["geometry", "--precision", "30", "--json"])
-        assert code == 0
-        doc = json.loads(out)
-        assert float(doc["R"]) == pytest.approx(1.6283069774000263, rel=1e-12)
-    finally:
-        geometry.set_precision(50)
+    code, out, _ = run_cli(capsys, ["geometry", "--precision", "30", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["precision_digits"] == 30
+    assert float(doc["R"]) == pytest.approx(1.6283069774000263, rel=1e-12)
+
+
+BOUNDS_ARGV = ["bounds", "1,2,5,10", "--vol", "3.66386", "--json"]
+
+
+def test_cli_precision_flag_sets_config_precision(capsys):
+    code, out, _ = run_cli(capsys, BOUNDS_ARGV + ["--precision", "20"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["precision"] == doc["geometry"]["precision_digits"] == 20
+
+
+def test_config_file_precision_reaches_geometry(tmp_path, capsys):
+    path = tmp_path / "cfg"
+    path.write_text("precision = 20\n")
+    code, out, _ = run_cli(capsys, BOUNDS_ARGV + ["--config", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["precision"] == doc["geometry"]["precision_digits"] == 20
+
+
+@pytest.mark.parametrize("argv", [["geometry"], BOUNDS_ARGV, ["k-constant", "--preset", "m306"]])
+def test_cli_precision_below_floor_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--precision", "14"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: precision must be at least 15 digits, got 14\n"
 
 
 def test_cli_k_constant_direct(capsys):
@@ -447,6 +473,25 @@ def test_cli_k_constant_bad_eps_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: eps must be finite and positive, got nan\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--log10-D", "nan"), ("--log10-C", "inf")])
+def test_cli_k_constant_non_finite_log10_exit_code(capsys, flag, value):
+    code, out, err = run_cli(capsys, ["k-constant", "--vol", "1", flag, value, "--json"])
+    assert code == 2
+    assert out == ""
+    name = {"--log10-D": "log10_D", "--log10-C": "log10_C_eps"}[flag]
+    assert err == "error: %s must be finite, got %s\n" % (name, value)
+
+
+@pytest.mark.parametrize("eps, V", [(1.0, float("nan")), (float("nan"), 2.0)])
+def test_pipeline_checks_eps_and_volume_before_complement(monkeypatch, eps, V):
+    def unreachable(q):
+        raise AssertionError("the complement ran before eps and V were checked")
+
+    monkeypatch.setattr(pipeline, "complementary_form", unreachable)
+    with pytest.raises(ValueError, match=r"^\[bounds\] (eps|V) must be finite and positive"):
+        run_pipeline(DiagForm.parse("10,18,14,-11"), eps, V)
 
 
 def test_cli_zero_denominator_exit_code(capsys):
