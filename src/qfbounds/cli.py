@@ -198,7 +198,12 @@ def _cmd_verify_paper(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--precision", type=int, default=None, help="decimal digits of the geometry and K stages")
+    common.add_argument(
+        "--precision",
+        type=int,
+        default=None,
+        help="decimal digits of the geometry and K stages (15 to 1000)",
+    )
     common.add_argument("--config", type=str, default=None, help="key = value config file")
 
     parser = argparse.ArgumentParser(

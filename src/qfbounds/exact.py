@@ -5,14 +5,21 @@ trial-division factoring, a deterministic Miller-Rabin primality test,
 Legendre/Kronecker symbols, CRT lifting, prime searches in arithmetic
 progressions, and square-class utilities on Fractions.
 
-All functions are pure.  Sizes are desk scale: factoring is trial
-division over a cached sieve plus a deterministic Pollard-Brent split
-of the cofactor, which covers every integer this package produces.
-Nothing here is meant for cryptographic-size inputs.
+All functions are pure, with one scoped exception: inside a
+known_primes() block, factorize first divides out the large primes it
+has already found in that block, so a descent that keeps meeting the
+same prime splits it once.  The results are the same factorizations;
+only a cofactor that a light budget could not split alone may now
+split.  Sizes are desk scale: factoring is trial division over a cached
+sieve plus a deterministic Pollard-Brent split of the cofactor, which
+covers every integer this package produces.  Nothing here is meant for
+cryptographic-size inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -23,6 +30,29 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SIEVE_LIMIT = 1 << 16
 _sieve_cache: list[int] = []
+
+# large primes found so far in the innermost known_primes() block
+_known: contextvars.ContextVar[list[int] | None] = contextvars.ContextVar(
+    "known_primes", default=None
+)
+
+
+class BudgetExhausted(RuntimeError):
+    """A cofactor resisted the Pollard-Brent splitting budget."""
+
+
+@contextlib.contextmanager
+def known_primes():
+    """Scope in which factorize remembers the large primes it finds.
+
+    Each block starts empty and is discarded on exit, exceptions
+    included, so results never depend on what ran before the block.
+    """
+    token = _known.set([])
+    try:
+        yield
+    finally:
+        _known.reset(token)
 
 
 def _small_primes() -> list[int]:
@@ -127,7 +157,7 @@ def _brent_split(n: int, caps=_DEEP_CAPS) -> int:
                     break
         if 1 < g < n:
             return g
-    raise ValueError("cannot factor cofactor %d" % n)
+    raise BudgetExhausted("cannot factor cofactor %d" % n)
 
 
 def factorize(n: int, caps=_DEEP_CAPS) -> list[tuple[int, int]]:
@@ -135,16 +165,31 @@ def factorize(n: int, caps=_DEEP_CAPS) -> list[tuple[int, int]]:
 
     Trial division over a cached prime sieve, then a deterministic
     Pollard-Brent split of whatever cofactor remains (with perfect-power
-    detection).  A ValueError is raised if the cofactor resists the
+    detection).  BudgetExhausted is raised if the cofactor resists the
     splitting budget, which does not occur at the sizes this package
     produces; callers that can tolerate failure may pass smaller caps.
     Results are memoized, so repeated queries on the same large number
-    cost one split; an exhausted budget is remembered as well.
+    cost one split; an exhausted budget is remembered as well.  Inside a
+    known_primes() block the primes found earlier in the block are
+    divided out first and every new prime above the sieve is added, so
+    only the rest goes to the memoized search.
     """
-    res = _factorize_cached(n, caps)
+    if n < 1:
+        raise ValueError("factorize expects n >= 1, got %r" % (n,))
+    known = _known.get()
+    out: dict[int, int] = {}
+    rest = n
+    for p in known or ():
+        while rest % p == 0:
+            rest //= p
+            out[p] = out.get(p, 0) + 1
+    res = _factorize_cached(rest, caps)
     if res is None:
-        raise ValueError("cannot factor a cofactor of %d" % n)
-    return list(res)
+        raise BudgetExhausted("cannot factor a cofactor of %d" % n)
+    if known is not None:
+        known.extend(p for p, _ in res if p >= _SIEVE_LIMIT)
+    out.update(res)
+    return sorted(out.items())
 
 
 @functools.lru_cache(maxsize=1 << 15)
@@ -181,7 +226,7 @@ def _factorize_cached(n: int, caps) -> tuple | None:
         else:
             try:
                 d = _brent_split(m, caps)
-            except ValueError:
+            except BudgetExhausted:
                 return None
             stack.extend([d, m // d])
     return tuple(sorted(out.items()))
@@ -250,7 +295,7 @@ def partial_squarefree(n: int, limit: int = 100_000) -> tuple[int, int]:
                     s *= p
                 t *= p ** (e // 2)
             rest = 1
-        except ValueError:
+        except BudgetExhausted:
             pass
         if rest > 1:
             r = math.isqrt(rest)

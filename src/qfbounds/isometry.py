@@ -46,6 +46,7 @@ from .exact import (
     crt_solve,
     factorize,
     is_perfect_square,
+    known_primes,
     kronecker_symbol,
     partial_squarefree,
     primes_in_ap,
@@ -923,7 +924,10 @@ def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
 
     g7 must be integral of rank 7 and rationally isometric to the
     target (checked up front, ValueError otherwise).  P is kept as its
-    7 columns; every step below is a column operation on them.
+    7 columns; every step below is a column operation on them.  The
+    rounds run in one exact.known_primes() block: each round's
+    coefficients tend to share the large primes of the last, and the
+    block lets factorize split each such prime once per descent.
     """
     n = 7
     target = standard_lorentzian(6)
@@ -935,41 +939,42 @@ def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
     cur = list(g7.int_coeffs())
     cols = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
     steps = []
-    for _ in range(40):
-        # square-reduce coefficients (column scalings)
-        for i in range(n):
-            s, t = partial_squarefree(cur[i])
-            if t != 1:
-                cols[i] = [x / t for x in cols[i]]
-                cur[i] = s
-        # stable reorder: +1 coefficients first, the -1 (if any) last
-        perm = sorted(range(n), key=lambda i: (0 if cur[i] == 1 else (2 if cur[i] == -1 else 1), 0))
-        cols = [cols[i] for i in perm]
-        cur = [cur[i] for i in perm]
-        if cur == [1, 1, 1, 1, 1, 1, -1]:
-            break
-        lead = 0
-        while lead < n and cur[lead] == 1:
-            lead += 1
-        trail = 1 if cur[-1] == -1 else 0
-        active = list(range(lead, n - trail))
-        if not active:
-            raise RuntimeError("no active block but form is not standard: %s" % cur)
-        sub = DiagForm(tuple(cur[i] for i in active))
-        if sub.rank == 1:
-            raise RuntimeError("irreducible residual coefficient %s" % sub)
-        p_sub, g_sub, log = reduce_once(sub)
-        old = [cols[ia] for ia in active]
-        for bcol, jb in enumerate(active):
-            cols[jb] = [
-                sum((p_sub[a][bcol] * col[r] for a, col in enumerate(old)), Fraction(0))
-                for r in range(n)
-            ]
-        for a, ia in enumerate(active):
-            cur[ia] = int(g_sub.coeffs[a])
-        steps.append(log)
-    else:
-        raise RuntimeError("reduction did not terminate")
+    with known_primes():
+        for _ in range(40):
+            # square-reduce coefficients (column scalings)
+            for i in range(n):
+                s, t = partial_squarefree(cur[i])
+                if t != 1:
+                    cols[i] = [x / t for x in cols[i]]
+                    cur[i] = s
+            # stable reorder: +1 coefficients first, the -1 (if any) last
+            perm = sorted(range(n), key=lambda i: (0 if cur[i] == 1 else (2 if cur[i] == -1 else 1), 0))
+            cols = [cols[i] for i in perm]
+            cur = [cur[i] for i in perm]
+            if cur == [1, 1, 1, 1, 1, 1, -1]:
+                break
+            lead = 0
+            while lead < n and cur[lead] == 1:
+                lead += 1
+            trail = 1 if cur[-1] == -1 else 0
+            active = list(range(lead, n - trail))
+            if not active:
+                raise RuntimeError("no active block but form is not standard: %s" % cur)
+            sub = DiagForm(tuple(cur[i] for i in active))
+            if sub.rank == 1:
+                raise RuntimeError("irreducible residual coefficient %s" % sub)
+            p_sub, g_sub, log = reduce_once(sub)
+            old = [cols[ia] for ia in active]
+            for bcol, jb in enumerate(active):
+                cols[jb] = [
+                    sum((p_sub[a][bcol] * col[r] for a, col in enumerate(old)), Fraction(0))
+                    for r in range(n)
+                ]
+            for a, ia in enumerate(active):
+                cur[ia] = int(g_sub.coeffs[a])
+            steps.append(log)
+        else:
+            raise RuntimeError("reduction did not terminate")
 
     m = [list(row) for row in zip(*cols)]
     if not verify_isometry(m, g7, target):

@@ -54,7 +54,7 @@ class PipelineConfig:
     the bound stage (the computed value is still reported, with a
     warning).  type_number_one asserts one conjugacy class of maximal
     orders, making C2 = 1.  precision is the number of decimal digits
-    of the geometry and K stages, at least 15.  rmax_mode selects the
+    of the geometry and K stages, from 15 to 1000.  rmax_mode selects the
     ball-volume inversion (geometry.rmax_bound_from_volume).
     """
 
@@ -68,6 +68,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.precision < 15:
             raise ValueError("precision must be at least 15 digits, got %d" % self.precision)
+        if self.precision > 1000:
+            raise ValueError("precision must be at most 1000 digits, got %d" % self.precision)
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from qfbounds import exact
 from qfbounds.exact import (
+    BudgetExhausted,
     crt_solve,
     factorize,
     is_prime,
+    known_primes,
     kronecker_symbol,
     parse_rat,
     primes_in_ap,
@@ -46,6 +49,83 @@ def test_factorize_reconstructs_random_inputs():
             prod *= p ** e
         assert prod == n
         assert fac == sorted(fac)
+
+
+def _primes_above(n, k):
+    out = []
+    while len(out) < k:
+        n += 1
+        if is_prime(n):
+            out.append(n)
+    return out
+
+
+@pytest.fixture
+def brent_calls(monkeypatch):
+    """Count the Pollard-Brent splits made with an empty factorize memo."""
+    calls = []
+    split = exact._brent_split
+
+    def counting(n, caps=exact._DEEP_CAPS):
+        calls.append(n)
+        return split(n, caps)
+
+    monkeypatch.setattr(exact, "_brent_split", counting)
+    exact._factorize_cached.cache_clear()
+    yield calls
+    exact._factorize_cached.cache_clear()
+
+
+def test_factorize_budget_exhausted(monkeypatch):
+    def exhausted(n, caps=exact._DEEP_CAPS):
+        raise BudgetExhausted("no budget for %d" % n)
+
+    p1, p2 = _primes_above(1 << 32, 2)
+    monkeypatch.setattr(exact, "_brent_split", exhausted)
+    exact._factorize_cached.cache_clear()
+    try:
+        with pytest.raises(BudgetExhausted):
+            factorize(p1 * p2)
+    finally:
+        exact._factorize_cached.cache_clear()
+    # an internal limit, not bad input: the CLI maps RuntimeError to exit 3
+    assert issubclass(BudgetExhausted, RuntimeError)
+    assert not issubclass(BudgetExhausted, ValueError)
+
+
+def test_factorize_outside_scope_splits_every_new_number(brent_calls):
+    p1, p2, p3 = _primes_above(1 << 33, 3)
+    assert factorize(p1 * p2) == [(p1, 1), (p2, 1)]
+    assert factorize(p1 * p3) == [(p1, 1), (p3, 1)]
+    assert len(brent_calls) == 2
+
+
+def test_known_primes_reuses_large_primes(brent_calls):
+    p1, p2, p3 = _primes_above(1 << 33, 3)
+    n = 6 * p1 ** 3 * p3
+    plain = factorize(n)
+    exact._factorize_cached.cache_clear()
+    brent_calls.clear()
+    with known_primes():
+        assert factorize(p1 * p2) == [(p1, 1), (p2, 1)]
+        assert len(brent_calls) == 1
+        assert factorize(n) == plain == [(2, 1), (3, 1), (p1, 3), (p3, 1)]
+        assert factorize(p2 * p3) == [(p2, 1), (p3, 1)]
+        assert factorize(1) == []
+        with pytest.raises(ValueError):
+            factorize(0)
+    assert len(brent_calls) == 1
+
+
+def test_known_primes_reset_after_exception(brent_calls):
+    p1, p2, p3 = _primes_above(1 << 33, 3)
+    with pytest.raises(ZeroDivisionError):
+        with known_primes():
+            factorize(p1 * p2)
+            1 / 0
+    assert len(brent_calls) == 1
+    factorize(p1 * p3)
+    assert len(brent_calls) == 2
 
 
 def test_squarefree_part_fixed_values():

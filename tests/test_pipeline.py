@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import jsonschema
 import pytest
@@ -73,6 +74,26 @@ def test_pipeline_deterministic():
     a = run_pipeline(q, 0.5, 2.0).json_str()
     b = run_pipeline(q, 0.5, 2.0).json_str()
     assert a == b
+
+
+_REPORTS_IN_ORDER = """
+import sys
+from qfbounds.forms import DiagForm
+from qfbounds.pipeline import run_pipeline
+
+for text in sys.argv[1:]:
+    report = run_pipeline(DiagForm.parse(text), 1.0, None).json_str()
+print(report)
+"""
+
+
+def test_report_independent_of_earlier_descents():
+    # the descents share large primes; each must start from an empty prime memory
+    first = run_python(["-c", _REPORTS_IN_ORDER, "7,19,8,-11"])
+    after = run_python(["-c", _REPORTS_IN_ORDER, "10,18,14,-11", "7,19,8,-11"])
+    assert first.returncode == after.returncode == 0, first.stderr + after.stderr
+    assert json.loads(first.stdout)["input"]["form"] == "<7,19,8,-11>"
+    assert first.stdout == after.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +411,16 @@ def test_cli_precision_below_floor_exit_code(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: precision must be at least 15 digits, got 14\n"
+
+
+@pytest.mark.parametrize("argv", [["geometry"], BOUNDS_ARGV, ["k-constant", "--preset", "m306"]])
+def test_cli_precision_above_cap_exit_code(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv + ["--precision", "1001"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: precision must be at most 1000 digits, got 1001\n"
 
 
 def test_cli_k_constant_direct(capsys):
