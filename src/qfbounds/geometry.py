@@ -274,7 +274,8 @@ class GeometryConstants:
 
     def to_json(self) -> dict:
         def s(v):
-            return mpmath.nstr(mpf(v), self.digits - 10)
+            # nstr reads v's own mantissa; mpf(v) would round it to mp.dps first
+            return mpmath.nstr(v, self.digits - 10)
 
         return {
             "precision_digits": self.digits,

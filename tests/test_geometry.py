@@ -304,6 +304,14 @@ def test_p6_constants_values():
     assert blob["precision_digits"] == 50 and isinstance(blob["R"], str)
 
 
+def test_p6_constants_json_keeps_its_digits():
+    # printed at the constants' own precision, not rounded to a double first
+    blob = p6_constants(50).to_json()
+    with mp.workdps(60):
+        assert blob["R"] == mpmath.nstr(mpmath.log(sqrt(7) + sqrt(6)), 40)
+        assert blob["d_max"] == mpmath.nstr(mpmath.acosh(sqrt(3)), 40)
+
+
 # ---------------------------------------------------------------------------
 # ball volumes and the growth constant
 
