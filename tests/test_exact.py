@@ -61,8 +61,15 @@ def _primes_above(n, k):
 
 
 @pytest.fixture
-def brent_calls(monkeypatch):
-    """Count the Pollard-Brent splits made with an empty factorize memo."""
+def empty_memo():
+    exact._factorize_cached.cache_clear()
+    yield
+    exact._factorize_cached.cache_clear()
+
+
+@pytest.fixture
+def brent_calls(monkeypatch, empty_memo):
+    """Count the Pollard-Brent splits made from an empty factorize memo."""
     calls = []
     split = exact._brent_split
 
@@ -71,23 +78,17 @@ def brent_calls(monkeypatch):
         return split(n, caps)
 
     monkeypatch.setattr(exact, "_brent_split", counting)
-    exact._factorize_cached.cache_clear()
-    yield calls
-    exact._factorize_cached.cache_clear()
+    return calls
 
 
-def test_factorize_budget_exhausted(monkeypatch):
+def test_factorize_budget_exhausted(monkeypatch, empty_memo):
     def exhausted(n, caps=exact._DEEP_CAPS):
         raise BudgetExhausted("no budget for %d" % n)
 
     p1, p2 = _primes_above(1 << 32, 2)
     monkeypatch.setattr(exact, "_brent_split", exhausted)
-    exact._factorize_cached.cache_clear()
-    try:
-        with pytest.raises(BudgetExhausted):
-            factorize(p1 * p2)
-    finally:
-        exact._factorize_cached.cache_clear()
+    with pytest.raises(BudgetExhausted):
+        factorize(p1 * p2)
     # an internal limit, not bad input: the CLI maps RuntimeError to exit 3
     assert issubclass(BudgetExhausted, RuntimeError)
     assert not issubclass(BudgetExhausted, ValueError)
