@@ -9,6 +9,12 @@ alter the report, with (bianchi7.json likewise)
 print(run_preset('m306').json_str())" > tests/golden/m306.json
     PYTHONPATH=src python -m qfbounds.cli k-constant --preset m306 --json \
 > tests/golden/k_constant_m306.json
+    PYTHONPATH=src python -m qfbounds.cli isometry 14,6,17,-1 --json \
+> tests/golden/isometry_14_6_17_-1.json
+
+The isometry reports (the other two forms likewise) lock descents the
+presets never reach: the first two run the descent solver and its
+Legendre lattice search, the third needs neither.
 """
 
 from pathlib import Path
@@ -26,6 +32,10 @@ CASES = {
     "bianchi7.json": ["-c", _PRESET % "bianchi7"],
     "k_constant_m306.json": ["-m", "qfbounds.cli", "k-constant", "--preset", "m306", "--json"],
 }
+for _form in ("14,6,17,-1", "4,7,7,-2", "13,9,12,-14"):
+    CASES["isometry_%s.json" % _form.replace(",", "_")] = [
+        "-m", "qfbounds.cli", "isometry", _form, "--json",
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
