@@ -259,10 +259,10 @@ def squarefree_part(r) -> tuple[int, Fraction]:
     return s, t
 
 
-def partial_squarefree(n: int, limit: int = 100_000) -> tuple[int, int]:
+def partial_squarefree(n: int) -> tuple[int, int]:
     """Best-effort split n = s * t**2 over the integers, t > 0.
 
-    Extracts square factors supported on primes <= limit, then tries to
+    Extracts square factors supported on the sieved primes, then tries to
     finish the job on the cofactor with the bounded splitting budget of
     factorize.  The result always satisfies n == s * t * t; s is
     squarefree unless the cofactor resists that budget.  Used to keep
@@ -274,7 +274,7 @@ def partial_squarefree(n: int, limit: int = 100_000) -> tuple[int, int]:
     rest = abs(n)
     s, t = sign, 1
     for p in _small_primes():
-        if p > limit or p * p > rest:
+        if p * p > rest:
             break
         if rest % p:
             continue

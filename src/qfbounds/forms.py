@@ -11,6 +11,11 @@ Conventions:
   * the Hasse-Witt invariant is the product of (a_i, a_j)_v over i < j;
   * discriminants and square classes are reported through squarefree
     integer representatives.
+
+A symmetric Gram matrix is brought to diagonal form by `ldl`, the one
+Gram-Schmidt of the package: the isometry descent, its lattice
+reductions and the Coxeter-simplex factor of the geometry all read
+their pivots, leading minors and triangular changes of basis from it.
 """
 
 from __future__ import annotations
@@ -112,6 +117,52 @@ def standard_lorentzian(n: int) -> DiagForm:
     if n < 0:
         raise ValueError("n must be non-negative")
     return DiagForm((1,) * n + (-1,))
+
+
+def ldl(g) -> tuple[list, list]:
+    """LDL^t of a symmetric matrix without pivoting: g = mu diag(d) mu^t.
+
+    mu is unit lower-triangular; mu[i][j] and d[j] are the Gram-Schmidt
+    coefficients and squared norms of the standard basis under g, so
+    mu^{-t} diagonalizes g by congruence and d_0 ... d_{k-1} is its k-th
+    leading principal minor.  The factorization stops after the first
+    zero pivot: d then ends in 0 and mu is its leading len(d) x len(d)
+    block, so d[-1] != 0 exactly when no leading minor vanishes.
+
+    int entries are read as Fractions, so Fraction and int input is
+    factored exactly; mpf input runs at the caller's mpmath precision.
+    """
+    g = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in g]
+    n = len(g)
+    mu, d = [], []
+    for i in range(n):
+        row = [0] * n
+        for j in range(i):
+            row[j] = (g[i][j] - sum(row[k] * mu[j][k] * d[k] for k in range(j))) / d[j]
+        row[i] = 1
+        mu.append(row)
+        d.append(g[i][i] - sum(row[k] ** 2 * d[k] for k in range(i)))
+        if d[i] == 0:
+            return [r[: i + 1] for r in mu], d
+    return mu, d
+
+
+def unit_lower_inverse(mu) -> list:
+    """Inverse of a unit lower-triangular matrix, by substitution.
+
+    For mu from ldl, row k holds the coordinates of the k-th
+    Gram-Schmidt vector, so the rows are orthogonal under g with
+    squared norms d.
+    """
+    n = len(mu)
+    inv = []
+    for k in range(n):
+        row = [0] * n
+        row[k] = 1
+        for j in range(k - 1, -1, -1):
+            row[j] = -sum(mu[i][j] * row[i] for i in range(j + 1, k + 1))
+        inv.append(row)
+    return inv
 
 
 def _val_unit(r: Fraction, p: int) -> tuple[int, Fraction]:

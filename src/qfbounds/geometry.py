@@ -11,13 +11,15 @@ identities are certified through squared relations in tests, not
 symbolic algebra.
 
 Matrix conventions.  For a Coxeter simplex with Gram matrix A of
-signature (n,1) there are two natural triangular matrices:
+signature (n,1) there are two natural triangular matrices, both read
+off the one factorization A = mu diag(d) mu^t of forms.ldl:
 
-  * the factor C, upper-triangular with positive diagonal, with
-    C^t A C = J = diag(1,...,1,-1) (Gram-Schmidt on the standard
-    basis); its rows produce the simplex vertices via x_i ~ J * row_i;
-  * the normal matrix N = C^{-1}, whose columns are the unit inward
-    facet normals v_i (so N^t J N = A).
+  * the factor C = mu^{-t} |d|^{-1/2}, upper-triangular with positive
+    diagonal, with C^t A C = J = diag(1,...,1,-1) (Gram-Schmidt on the
+    standard basis); its rows produce the simplex vertices via
+    x_i ~ J * row_i;
+  * the normal matrix N = |d|^{1/2} mu^t = C^{-1}, whose columns are
+    the unit inward facet normals v_i (so N^t J N = A).
 
 These are inverse to each other, not equal, and source material that
 prints one while naming the property of the other is reconciled here
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
+
+from .forms import ldl, unit_lower_inverse
 
 P6_GROUP_ORDER = 2 ** 7 * 3 ** 4 * 5  # order of the vertex stabilizer group
 
@@ -79,56 +83,29 @@ def p6_diagram() -> tuple:
     return 7, labels
 
 
-def _signature_counts(A) -> tuple:
-    M = mpmath.matrix(A)
-    E = mpmath.eigsy(M, eigvals_only=True)
-    tol = mpf(10) ** (-(mp.dps - 5))
-    pos = sum(1 for i in range(M.rows) if E[i] > tol)
-    neg = sum(1 for i in range(M.rows) if E[i] < -tol)
-    return pos, neg
+def lorentz_gram_factor(A) -> tuple:
+    """The factor C and the normal matrix N = C^{-1} of A, as (C, N).
 
-
-def lorentz_gram_factor(A) -> list:
-    """Upper-triangular C with positive diagonal and C^t A C = J.
-
-    Gram-Schmidt on the standard basis under the bilinear form A.  A
-    must have signature (n,1) with positive leading principal minors
-    through n; then C is unique.
+    From A = mu diag(d) mu^t (forms.ldl, Gram-Schmidt on the standard
+    basis under A): C = mu^{-t} |d|^{-1/2} is upper-triangular with
+    positive diagonal and C^t A C = J, and N = |d|^{1/2} mu^t.  The
+    pivots must be positive through n and negative last, that is, A
+    has signature (n,1) with positive leading principal minors through
+    n; then C is unique.
     """
     n1 = len(A)
-    pos, neg = _signature_counts(A)
-    if not (pos == n1 - 1 and neg == 1):
+    mu, d = ldl([[mpf(x) for x in row] for row in A])
+    if len(d) < n1 or any(x <= 0 for x in d[:-1]) or d[-1] >= 0:
         raise ValueError(
-            "expected signature (%d,1), found (%d,%d)" % (n1 - 1, pos, neg)
+            "expected signature (%d,1) with positive leading principal minors "
+            "through %d; ldl pivot signs %s"
+            % (n1 - 1, n1 - 1, "".join("+" if x > 0 else "-" if x < 0 else "0" for x in d))
         )
-
-    def bform(u, v):
-        return mpmath.fsum(
-            u[i] * A[i][j] * v[j] for i in range(n1) for j in range(n1) if u[i] and v[j]
-        )
-
-    basis = []
-    norms = []
-    for k in range(n1):
-        u = [mpf(1) if i == k else mpf(0) for i in range(n1)]
-        for prev, d in zip(basis, norms):
-            coef = bform(u, prev) / d
-            u = [ui - coef * pi_ for ui, pi_ in zip(u, prev)]
-        d = bform(u, u)
-        if k < n1 - 1 and d <= 0:
-            raise ValueError("leading principal minor %d is not positive" % (k + 1))
-        basis.append(u)
-        norms.append(d)
-    cols = [
-        [ui / mpmath.sqrt(abs(d)) for ui in u] for u, d in zip(basis, norms)
-    ]
-    return [[cols[j][i] for j in range(n1)] for i in range(n1)]
-
-
-def normal_matrix_from_factor(C) -> list:
-    """N = C^{-1}; columns are the unit inward facet normals."""
-    M = mpmath.matrix(C) ** -1
-    return [[M[i, j] for j in range(M.cols)] for i in range(M.rows)]
+    scale = [mpmath.sqrt(abs(x)) for x in d]
+    m_inv = unit_lower_inverse(mu)
+    C = [[m_inv[j][i] / scale[j] for j in range(n1)] for i in range(n1)]
+    N = [[scale[i] * mu[j][i] for j in range(n1)] for i in range(n1)]
+    return C, N
 
 
 def vertices_from_normals(C) -> tuple:
@@ -186,8 +163,7 @@ class CoxeterSimplex:
     @classmethod
     def from_diagram(cls, n: int, labels: dict) -> "CoxeterSimplex":
         A = gram_from_diagram(n, labels)
-        C = lorentz_gram_factor(A)
-        N = normal_matrix_from_factor(C)
+        C, N = lorentz_gram_factor(A)
         xs = vertices_from_normals(C)
         freeze = lambda M: tuple(tuple(row) for row in M)
         return cls(gram=freeze(A), factor=freeze(C), normal_matrix=freeze(N), vertices=xs)
@@ -361,13 +337,12 @@ def rmax_bound_from_volume(vol, mode: str = "paper_h6"):
     raise ValueError("mode must be 'paper_h6' or 'dim3'")
 
 
-def rf_growth_constant(n: int, V_core, d_core, R, h_max=None):
+def rf_growth_constant(n: int, V_core, d_core, R):
     """(2 v_n(1) / V_core) * sinh^n(R + d_core).
 
     The coefficient of the geodesic length in the index bound; V_core
     and d_core are the volume and diameter bounds of the thick core at
-    depth parameter R + h_max (h_max itself enters only through them
-    and is accepted for call-site documentation).
+    depth parameter R + h_max (h_max enters only through them).
     """
     V_core, d_core, R = mpf(V_core), mpf(d_core), mpf(R)
     if V_core <= 0 or d_core < 0 or R < 0:
@@ -388,18 +363,17 @@ def effective_K(
     log10_C_eps,
     log10_D,
     mode: str = "paper_h6",
-    include_vol_eps: bool = True,
     digits: int = 50,
 ) -> dict:
     """log10 of K = 2^7 3^4 5 * C_eps * D * vol^eps * (v_5(1)/V0)
     * sinh^5(2(2R + d_max + ln p^{-1}(vol))), to `digits` decimal digits.
 
     Everything is assembled in log space; the sinh term uses the
-    large-argument expansion of ln sinh.  include_vol_eps=False drops
-    the vol^eps factor (a display variant seen in worked summaries of
-    the same bound).  Returns the log10 value together with the
-    per-manifold constants (h_max, cosh r_max) it used.  vol_M and eps
-    must be finite and positive, log10_C_eps and log10_D finite
+    large-argument expansion of ln sinh.  Returns the log10 value, the
+    same value without the vol^eps factor (log10_K_without_vol_eps, a
+    display variant seen in worked summaries of the same bound), and
+    the per-manifold constants (h_max, cosh r_max) they used.  vol_M
+    and eps must be finite and positive, log10_C_eps and log10_D finite
     (ValueError otherwise).
     """
     if not (mpmath.isfinite(eps) and eps > 0):
@@ -414,19 +388,16 @@ def effective_K(
         h_max = mpmath.log(cosh_rmax)
         arg = 2 * (2 * consts.R + consts.d_max + h_max)
         ln10 = mpmath.log(10)
-        log10_K = (
-            mpmath.log(P6_GROUP_ORDER) / ln10
-            + mpf(log10_C_eps)
-            + mpf(log10_D)
-            + (mpf(eps) * mpmath.log(vol) / ln10 if include_vol_eps else mpf(0))
-            + mpmath.log(consts.v_n1 / consts.V0) / ln10
-            + 5 * _log_sinh(arg) / ln10
-        )
+        base = mpmath.log(P6_GROUP_ORDER) / ln10 + mpf(log10_C_eps) + mpf(log10_D)
+        ball = mpmath.log(consts.v_n1 / consts.V0) / ln10
+        sinh_term = 5 * _log_sinh(arg) / ln10
+        log10_K = base + mpf(eps) * mpmath.log(vol) / ln10 + ball + sinh_term
+        log10_K_without_vol_eps = base + ball + sinh_term
     return {
         "log10_K": log10_K,
+        "log10_K_without_vol_eps": log10_K_without_vol_eps,
         "h_max": h_max,
         "cosh_r_max": cosh_rmax,
         "sinh_argument": arg,
         "mode": mode,
-        "include_vol_eps": include_vol_eps,
     }

@@ -17,15 +17,16 @@ One reduction round works on an integral diagonal form g:
   step 1  extend x by a primitive integral basis of x-perp into P1;
           Z = P1^t A P1 then has first row and column (1, 0, ..., 0)
           and integral remainder.
-  step 2  diagonalize Z by Cramer solves Z_kk w_k = (0,...,0,1)^t,
-          clear denominators columnwise and fix signs, giving an
-          integral upper-triangular P2P3 and an integral diagonal form
-          with leading coefficient 1.
+  step 2  diagonalize Z by its LDL^t factorization Z = mu diag(d) mu^t
+          (forms.ldl): w_k = (row k of mu^{-1}) / d_k solves
+          Z_kk w_k = (0,...,0,1)^t; clearing denominators columnwise and
+          fixing signs gives an integral upper-triangular P2P3 and an
+          integral diagonal form with leading coefficient 1.
 
-When a leading principal minor of Z vanishes the basis of x-perp is
-repaired by the smallest transposition, or failing that by adding one
-basis vector to another (a vanishing minor can be unfixable by
-transpositions alone, e.g. a hyperbolic 2 x 2 block).
+When a leading principal minor of Z vanishes (a zero ldl pivot) the
+basis of x-perp is repaired by the smallest transposition, or failing
+that by adding one basis vector to another (a vanishing minor can be
+unfixable by transpositions alone, e.g. a hyperbolic 2 x 2 block).
 
 The full driver interleaves reduction rounds with two normalizations:
 coefficients are reduced by square factors (a column scaling), and
@@ -59,7 +60,9 @@ from .forms import (
     _isotropic_at,
     is_isometric_Q,
     is_isotropic_Q,
+    ldl,
     standard_lorentzian,
+    unit_lower_inverse,
 )
 
 
@@ -85,42 +88,6 @@ def mat_denominator_lcm(p) -> int:
         for x in row:
             s = math.lcm(s, Fraction(x).denominator)
     return s
-
-
-def _det(m):
-    # fraction Gaussian elimination, small matrices only
-    n = len(m)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return det
-
-
-def _solve(m, rhs):
-    # exact solve of m x = rhs for nonsingular m
-    n = len(m)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +316,7 @@ def _short_vectors3(w, basis, radius):
     def dot(u, v):
         return sum(wi * ui * vi for wi, ui, vi in zip(w, u, v))
 
-    g = [[Fraction(dot(basis[i], basis[j])) for j in range(3)] for i in range(3)]
-    # rational Cholesky: q[i][i] diagonal weights, q[i][j] mixing
-    q = [row[:] for row in g]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, 3):
-            for l in range(k, 3):
-                q[k][l] -= q[k][i] * q[i][l]
+    mu, d = ldl([[dot(u, v) for v in basis] for u in basis])
 
     def bounds(limit, center, weight):
         # integer m with weight*(m+center)^2 <= limit
@@ -373,13 +331,13 @@ def _short_vectors3(w, basis, radius):
         return range(lo, hi + 1)
 
     out = []
-    for m2 in bounds(Fraction(radius), Fraction(0), q[2][2]):
-        rem1 = Fraction(radius) - q[2][2] * m2 * m2
-        c1 = q[1][2] * m2
-        for m1 in bounds(rem1, c1, q[1][1]):
-            rem0 = rem1 - q[1][1] * (m1 + c1) ** 2
-            c0 = q[0][1] * m1 + q[0][2] * m2
-            for m0 in bounds(rem0, c0, q[0][0]):
+    for m2 in bounds(Fraction(radius), Fraction(0), d[2]):
+        rem1 = Fraction(radius) - d[2] * m2 * m2
+        c1 = mu[2][1] * m2
+        for m1 in bounds(rem1, c1, d[1]):
+            rem0 = rem1 - d[1] * (m1 + c1) ** 2
+            c0 = mu[1][0] * m1 + mu[2][0] * m2
+            for m0 in bounds(rem0, c0, d[0]):
                 if m0 == m1 == m2 == 0:
                     continue
                 if m2 < 0 or (m2 == 0 and (m1 < 0 or (m1 == 0 and m0 < 0))):
@@ -481,27 +439,15 @@ def _lll_columns(weights, cols):
     """LLL-reduce integral columns for the definite form sum w_i x_i^2.
 
     Keeps the spanned lattice; returns shorter, near-orthogonal columns.
-    Exact rational arithmetic throughout.
+    The Gram-Schmidt data is the exact ldl of the integer Gram matrix.
     """
-    b = [[Fraction(t) for t in col] for col in cols]
+    b = [list(col) for col in cols]
     n = len(b)
     if n < 2:
         return b
 
-    def ip(u, v):
-        return sum(w * x * y for w, x, y in zip(weights, u, v))
-
     def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar, norms = [], []
-        for i in range(n):
-            v = b[i][:]
-            for j in range(i):
-                mu[i][j] = ip(b[i], bstar[j]) / norms[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-            bstar.append(v)
-            norms.append(ip(v, v))
-        return mu, norms
+        return ldl([[sum(w * x * y for w, x, y in zip(weights, u, v)) for v in b] for u in b])
 
     mu, norms = gso()
     k = 1
@@ -777,26 +723,24 @@ def _perp_basis(cs, x):
         den = math.lcm(*(t.denominator for t in v))
         w = [int(t * den) for t in v]
         g = math.gcd(*(abs(t) for t in w))
-        basis.append([Fraction(t // g) for t in w])
+        basis.append([t // g for t in w])
     return basis
-
-
-def _leading_minor_det(z, k):
-    return _det([row[:k] for row in z[:k]])
 
 
 def _repair_basis(diag, cols, k, log):
     """Make the k-th leading minor of the Gram matrix nonzero.
 
-    Tries transpositions with later columns first, then adds one later
-    column to another.  cols[0] (the vector representing 1) is never
-    touched.
+    The first k - 1 minors are nonzero, so the k-th is nonzero exactly
+    when the Gram matrix of the first k columns has a nonzero last ldl
+    pivot.  Tries transpositions with later columns first, then adds one
+    later column to another; the first k - 1 columns, and so cols[0]
+    (the vector representing 1), are never touched.
     """
     n = len(cols)
     for j in range(k, n):
         cand = cols[:]
         cand[k - 1], cand[j] = cand[j], cand[k - 1]
-        if _leading_minor_det(gram_matrix(diag, cand), k) != 0:
+        if ldl(gram_matrix(diag, cand[:k]))[1][-1] != 0:
             log.append({"repair": "swap", "k": k, "j": j})
             return cand
     for i in range(k - 1, n):
@@ -804,7 +748,7 @@ def _repair_basis(diag, cols, k, log):
             cand = cols[:]
             cand[i] = [a + b for a, b in zip(cand[i], cand[j])]
             cand[k - 1], cand[i] = cand[i], cand[k - 1]
-            if _leading_minor_det(gram_matrix(diag, cand), k) != 0:
+            if ldl(gram_matrix(diag, cand[:k]))[1][-1] != 0:
                 log.append({"repair": "add-swap", "k": k, "i": i, "j": j})
                 return cand
     raise RuntimeError("cannot repair singular minor at k=%d" % k)
@@ -834,19 +778,20 @@ def reduce_once(g: DiagForm):
     if z[0][0] != 1 or any(z[0][1:]):
         raise RuntimeError("basis of x-perp is not orthogonal to x")
 
-    for k in range(1, n + 1):
-        if _leading_minor_det(z, k) == 0:
-            cols = _repair_basis(cs, cols, k, log["repairs"])
-            z = gram_matrix(cs, cols)
+    # Z = mu diag(d) mu^t; the first zero pivot is the first vanishing minor
+    mu, d = ldl(z)
+    while d[-1] == 0:
+        cols = _repair_basis(cs, cols, len(d), log["repairs"])
+        z = gram_matrix(cs, cols)
+        mu, d = ldl(z)
 
-    # Cramer diagonalization: w_k with Z_kk w_k = e_k, cleared to integers,
-    # weights cols[0..k] into column k of P (the upper-triangular P2P3)
+    # w_k = (row k of mu^{-1}) / d_k solves Z_kk w_k = e_k; cleared to
+    # integers it weights cols[0..k] into column k of P (the
+    # upper-triangular P2P3), and b_k = w_k^t Z w_k * c_k^2 = c_k^2 / d_k
     pcols = []
     b = []
-    for k in range(n):
-        sub = [row[: k + 1] for row in z[: k + 1]]
-        rhs = [Fraction(0)] * k + [Fraction(1)]
-        w = _solve(sub, rhs)
+    for k, row in enumerate(unit_lower_inverse(mu)):
+        w = [t / d[k] for t in row[: k + 1]]
         ck = math.lcm(*(t.denominator for t in w))
         col = [t * ck for t in w]
         if col[k] < 0:
@@ -854,10 +799,7 @@ def reduce_once(g: DiagForm):
         pcols.append(
             [sum((c * v[r] for c, v in zip(col, cols)), Fraction(0)) for r in range(n)]
         )
-        bk = sum(
-            (col[i] * z[i][j] * col[j] for i in range(k + 1) for j in range(k + 1)),
-            Fraction(0),
-        )
+        bk = Fraction(ck * ck) / d[k]
         if bk.denominator != 1 or bk == 0:
             raise RuntimeError("diagonal entry %s is not a nonzero integer" % bk)
         b.append(int(bk))

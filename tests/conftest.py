@@ -282,6 +282,26 @@ def random_unimodular(rng, n: int, steps: int = 6):
     return m
 
 
+def det_oracle(m) -> Fraction:
+    """Determinant by Fraction Gaussian elimination with row pivoting."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
 def congruent_diagonalization(q_coeffs, u):
     """Exact diagonal of U^t A U for diagonal A, via the library-free
     symmetric elimination below."""

@@ -1,10 +1,11 @@
 """Diagonal form invariants: Hilbert symbols, Hasse-Witt, the
-local-global isometry and isotropy decisions."""
+local-global isometry and isotropy decisions, and the LDL^t kernel."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 from qfbounds.forms import (
     INF,
@@ -15,13 +16,16 @@ from qfbounds.forms import (
     is_isometric_Q,
     is_isotropic_Q,
     is_similar,
+    ldl,
     relevant_places,
     standard_lorentzian,
+    unit_lower_inverse,
 )
 from qfbounds.isometry import verify_isometry
 
 from conftest import (
     congruent_diagonalization,
+    det_oracle,
     explicit_isometry_rank2,
     explicit_isometry_rank3,
     hilbert_oracle_odd,
@@ -325,3 +329,84 @@ def test_isotropy_agrees_with_search_oracle():
             continue
         assert verdict == oracle, "disagreement on %s" % q
     assert open_cases <= 2
+
+
+# ---------------------------------------------------------------------------
+# LDL^t
+
+
+def _ldl_product(mu, d):
+    n = len(d)
+    return [
+        [sum(mu[i][k] * d[k] * mu[j][k] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _random_symmetric(rng, n, den=1):
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = Fraction(rng.randint(-9, 9), rng.randint(1, den))
+    return g
+
+
+def test_ldl_reproduces_random_rational_matrices():
+    rng = random.Random(601)
+    full = stopped = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        g = _random_symmetric(rng, n, den=rng.choice((1, 4)))
+        mu, d = ldl(g)
+        k = len(d)
+        assert all(type(x) is Fraction for x in d)
+        assert all(mu[i][i] == 1 and not any(mu[i][i + 1 :]) for i in range(k))
+        # mu diag(d) mu^t is the leading k x k block of g
+        assert _ldl_product(mu, d) == [row[:k] for row in g[:k]]
+        # the pivots are ratios of leading minors, so the product of the
+        # first j is the j-th minor (oracle: Gaussian elimination)
+        prod = Fraction(1)
+        for j in range(k):
+            prod *= d[j]
+            assert prod == det_oracle([row[: j + 1] for row in g[: j + 1]])
+        # it stops after the first zero pivot, and only there
+        assert all(d[:-1]) and (k == n or d[-1] == 0)
+        if d[-1] == 0:
+            stopped += 1
+        else:
+            full += 1
+            # the rows of mu^{-1} diagonalize g by congruence
+            inv = unit_lower_inverse(mu)
+            assert [
+                [sum(inv[i][a] * g[a][b] * inv[j][b] for a in range(n) for b in range(n))
+                 for j in range(n)]
+                for i in range(n)
+            ] == [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert full > 100 and stopped > 10
+
+
+def test_ldl_stops_at_first_zero_pivot():
+    # the 2nd leading minor of this matrix vanishes, the 3rd does not
+    g = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    mu, d = ldl(g)
+    assert d == [1, 0] and mu == [[1, 0], [1, 1]]
+    assert det_oracle(g) != 0
+
+
+def test_ldl_int_input_is_exact():
+    mu, d = ldl([[3, 1], [1, 2]])
+    assert d == [Fraction(3), Fraction(5, 3)] and mu[1][0] == Fraction(1, 3)
+    assert all(type(x) is Fraction for x in d + [mu[1][0]])
+
+
+def test_ldl_mpf_input():
+    with mp.workdps(40):
+        g = [[mpf(2), mpf(1) / 3, mpf(-1)], [mpf(1) / 3, mpf(5), mpf(2)], [mpf(-1), mpf(2), mpf(-7)]]
+        mu, d = ldl(g)
+        assert len(d) == 3 and d[0] > 0 and d[1] > 0 and d[2] < 0
+        prod = _ldl_product(mu, d)
+        assert max(abs(prod[i][j] - g[i][j]) for i in range(3) for j in range(3)) < mpf(10) ** -35
+        exact = ldl([[Fraction(2), Fraction(1, 3), Fraction(-1)],
+                     [Fraction(1, 3), Fraction(5), Fraction(2)],
+                     [Fraction(-1), Fraction(2), Fraction(-7)]])[1]
+        assert max(abs(x - mpf(y.numerator) / y.denominator) for x, y in zip(d, exact)) < mpf(10) ** -35

@@ -369,7 +369,8 @@ def test_effective_K_reference_volume():
     assert abs(float(out["h_max"]) - 0.7461011756767191) < 1e-9
     assert abs(float(out["cosh_r_max"]) - 2.1087622746449366) < 1e-9
     assert abs(float(out["sinh_argument"]) - 10.29786193051472) < 1e-9
-    assert out["mode"] == "paper_h6" and out["include_vol_eps"] is True
+    assert out["mode"] == "paper_h6"
+    assert abs(float(out["log10_K"] - out["log10_K_without_vol_eps"]) - math.log10(vol)) < 1e-12
     # h_max is ln(cosh r_max) and the argument is 2(2R + d_max + h_max)
     c = p6_constants()
     with mp.workdps(60):
@@ -382,11 +383,12 @@ def test_effective_K_volume_factor_toggle():
     with mp.workdps(40):
         vol = float(4 * mpmath.catalan)
     a = effective_K(vol, 1.0, 0.0, 100.0)
-    b = effective_K(vol, 1.0, 0.0, 100.0, include_vol_eps=False)
-    assert b["include_vol_eps"] is False
-    assert abs(float(a["log10_K"] - b["log10_K"]) - math.log10(vol)) < 1e-12
+    b = a["log10_K_without_vol_eps"]
+    assert abs(float(a["log10_K"] - b) - math.log10(vol)) < 1e-12
     half = effective_K(vol, 0.5, 0.0, 100.0)
-    assert abs(float(half["log10_K"] - b["log10_K"]) - 0.5 * math.log10(vol)) < 1e-12
+    assert abs(float(half["log10_K"] - b) - 0.5 * math.log10(vol)) < 1e-12
+    # eps enters only through vol^eps
+    assert half["log10_K_without_vol_eps"] == b
 
 
 def test_effective_K_modes_and_validation():

@@ -19,11 +19,12 @@ from qfbounds.isometry import (
     reduce_once,
     represent_one,
     verify_isometry,
-    _det,
     _perp_basis,
+    _repair_basis,
+    gram_matrix,
 )
 
-from conftest import cassels_box_bound, random_nonzero, run_python
+from conftest import cassels_box_bound, det_oracle, random_nonzero, run_python
 
 Q61 = standard_lorentzian(6)
 
@@ -131,6 +132,34 @@ def test_reduce_once_rank7():
     assert mat_denominator_lcm(p) <= bound_E(g)
 
 
+def _leading_minor(diag, cols, k):
+    return det_oracle([row[:k] for row in gram_matrix(diag, cols)[:k]])
+
+
+def test_repair_basis_swap_branch():
+    # the second column is isotropic, so the 2nd leading minor vanishes;
+    # swapping in the third column fixes it
+    diag = [1, 1, 1, -1]
+    cols = [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+    assert _leading_minor(diag, cols, 2) == 0
+    log = []
+    out = _repair_basis(diag, cols, 2, log)
+    assert log == [{"repair": "swap", "k": 2, "j": 2}]
+    assert out[0] == cols[0] and _leading_minor(diag, out, 2) != 0
+
+
+def test_repair_basis_add_swap_branch():
+    # a hyperbolic block: both later columns are isotropic, so no
+    # transposition helps and a sum of the two is swapped in
+    diag = [1, 1, -1]
+    cols = [[1, 0, 0], [0, 1, 1], [0, 1, -1]]
+    assert _leading_minor(diag, cols, 2) == 0
+    log = []
+    out = _repair_basis(diag, cols, 2, log)
+    assert log == [{"repair": "add-swap", "k": 2, "i": 1, "j": 2}]
+    assert out[0] == cols[0] and _leading_minor(diag, out, 2) != 0
+
+
 def _random_lorentzian_congruent(rng, n, entry_cap=30):
     """Integral form with entries <= entry_cap, isometric to the
     standard <1,...,1,-1> by a unimodular change of basis."""
@@ -166,7 +195,7 @@ def test_reduce_once_bound_compliance():
         x = [Fraction(t) for t in log["x"]]
         cols = [x] + _perp_basis([int(c) for c in coeffs], x)
         p1 = [[cols[j][i] for j in range(n)] for i in range(n)]
-        det1 = _det(p1)
+        det1 = det_oracle(p1)
         assert det1 != 0
         assert det1 ** 2 <= Fraction(e) ** (4 * n) * n ** n
     assert checked == 40
