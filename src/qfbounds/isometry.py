@@ -285,31 +285,6 @@ def _impose_congruence(basis, l, p):
     basis[piv] = [p * x for x in basis[piv]]
 
 
-def _reduce_basis3(w, basis):
-    """Greedy pairwise reduction of a 3D basis under diag(w) >= 0."""
-
-    def dot(u, v):
-        return sum(wi * ui * vi for wi, ui, vi in zip(w, u, v))
-
-    for _ in range(10_000):
-        basis.sort(key=lambda col: dot(col, col))
-        changed = False
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                den = dot(basis[i], basis[i])
-                q = (2 * dot(basis[j], basis[i]) + den) // (2 * den)
-                if q:
-                    cand = [x - q * y for x, y in zip(basis[j], basis[i])]
-                    if dot(cand, cand) < dot(basis[j], basis[j]):
-                        basis[j] = cand
-                        changed = True
-        if not changed:
-            return basis
-    raise RuntimeError("basis reduction did not stabilize")
-
-
 def _short_vectors3(w, basis, radius):
     """All nonzero lattice vectors v (up to sign) with sum w_i v_i^2 <= radius."""
 
@@ -354,9 +329,10 @@ def _legendre_zero(cs):
     """Primitive zero of a squarefree pairwise-coprime mixed-sign ternary.
 
     Builds, per sign pattern of the modular square roots, the index
-    |abc| sublattice of Z^3 on which the form vanishes mod abc, and
-    enumerates it to the Holzer radius.  The first pattern that contains
-    a zero wins; within a pattern the smallest zero is returned.
+    |abc| sublattice of Z^3 on which the form vanishes mod abc,
+    LLL-reduces it under diag(|a|, |b|, |c|) and enumerates it to the
+    Holzer radius.  The first pattern that contains a zero wins; within
+    a pattern the smallest zero is returned.
     """
     a, b, c = cs
     d = abs(a * b * c)
@@ -388,7 +364,7 @@ def _legendre_zero(cs):
         for k, (p, plus, minus) in enumerate(signed):
             pick = plus if k == 0 or bits[k - 1] == 0 else minus
             _impose_congruence(basis, pick, p)
-        _reduce_basis3(w, basis)
+        basis = _lll_columns(w, basis)
         zeros = [
             v
             for v in _short_vectors3(w, basis, radius)
