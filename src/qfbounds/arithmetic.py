@@ -482,26 +482,27 @@ THEOREM_PREFACTOR = 2 ** 7 * 3 ** 4 * 5  # 51840
 
 
 def total_index_bound(
-    log10_C: float,
+    C: BoundValue,
     log10_D: float,
     eps: float,
     V: float,
     sharp: SharpEnumeration | None = None,
-    parameterized_by: tuple = (),
 ) -> BoundValue:
     """log10 of the total special-subgroup index bound.
 
-    Generic mode: 2^7 3^4 5 * C_eps * D * V**eps.
+    Generic mode: 2^7 3^4 5 * C_eps * D * V**eps, parameterized by what
+    the bound C on C_eps is parameterized by.
     Sharp mode (a SharpEnumeration given): its coefficient replaces the
-    generic prefactor * C_eps; a V-mode coefficient already absorbs
-    V**eps, an eps-mode coefficient still multiplies it.
+    generic prefactor * C_eps, so the result is parameterized by
+    nothing; a V-mode coefficient already absorbs V**eps, an eps-mode
+    coefficient still multiplies it.
     """
     if sharp is not None:
         log10 = math.log10(sharp.coefficient) + log10_D
         if sharp.mode == "eps":
             log10 += eps * math.log10(V)
-        return BoundValue(log10=log10, parameterized_by=parameterized_by)
+        return BoundValue(log10=log10)
     return BoundValue(
-        log10=math.log10(THEOREM_PREFACTOR) + log10_C + log10_D + eps * math.log10(V),
-        parameterized_by=parameterized_by,
+        log10=math.log10(THEOREM_PREFACTOR) + C.log10 + log10_D + eps * math.log10(V),
+        parameterized_by=C.parameterized_by,
     )

@@ -312,11 +312,9 @@ REPORT_SCHEMA = {
 }
 
 
-def _bound_json(bv, provenance: str | None = None) -> dict:
+def _bound_json(bv) -> dict:
     out = bv.to_json()
-    if provenance is None:
-        provenance = "parameterized (A1)" if bv.parameterized_by else "computed"
-    out["provenance"] = provenance
+    out["provenance"] = "parameterized (A1)" if bv.parameterized_by else "computed"
     return out
 
 
@@ -447,18 +445,18 @@ def _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, cfg, iso, warnings):
     if sharp is not None and sharp.r_f != r_f_used:
         sharp = replace(sharp, r_f=r_f_used)
     log10_D = iso.log10_D_level42
-    total = total_index_bound(ce.log10, log10_D, eps, V if V is not None else 1.0)
-    total_json = _bound_json(total, "parameterized (A1)")
+    total = total_index_bound(ce, log10_D, eps, V if V is not None else 1.0)
+    total_json = _bound_json(total)
     total_sharp_json = None
     if sharp is not None:
-        ts = total_index_bound(ce.log10, log10_D, eps, V if V is not None else 1.0, sharp=sharp)
-        total_sharp_json = _bound_json(ts, "computed")
+        ts = total_index_bound(ce, log10_D, eps, V if V is not None else 1.0, sharp=sharp)
+        total_sharp_json = _bound_json(ts)
         if sharp.mode == "eps" and V is None:
             total_sharp_json["human"] += " * V^%g (V symbolic)" % eps
     bounds_json = {
         "c_prime_eps": cpe,
         "c_eps": _bound_json(ce),
-        "c2": _bound_json(c2, "computed" if cfg.type_number_one else None),
+        "c2": _bound_json(c2),
         "sharp": sharp.to_json() if sharp is not None else None,
         "generic_S_rf": generic_S_rf_bound(eps, V) if V is not None else None,
         "r_f_used": r_f_used,

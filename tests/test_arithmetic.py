@@ -16,6 +16,7 @@ import pytest
 
 from qfbounds.arithmetic import (
     THEOREM_PREFACTOR,
+    BoundValue,
     CovolumeParams,
     ImagQuadField,
     c2_bound,
@@ -434,8 +435,10 @@ def test_total_index_bound_sharp_v_mode():
         V = float(4 * mp.catalan)
     sh = sharp_S_enumeration(Qi, [5, 5], V=V)
     log10_D = 42 * math.log10(1600)
-    tot = total_index_bound(0.0, log10_D, 0.5, V, sharp=sh)
+    tot = total_index_bound(BoundValue(0.0, ("A1",)), log10_D, 0.5, V, sharp=sh)
     assert abs(tot.log10 - 135.77715925420478) < 1e-10
+    # the sharp coefficient replaces C_eps, and with it its parameters
+    assert tot.parameterized_by == ()
     # a V-mode coefficient already absorbs the V**eps factor
     assert abs(tot.log10 - (math.log10(16) + log10_D)) < 1e-12
 
@@ -443,14 +446,17 @@ def test_total_index_bound_sharp_v_mode():
 def test_total_index_bound_sharp_eps_mode():
     Q7 = ImagQuadField.from_d(7)
     sh = sharp_S_enumeration(Q7, [], eps=0.5)
-    tot = total_index_bound(0.0, 10.0, 0.5, 4.0, sharp=sh)
+    tot = total_index_bound(BoundValue(0.0), 10.0, 0.5, 4.0, sharp=sh)
     assert abs(tot.log10 - (math.log10(8) + 10.0 + 0.5 * math.log10(4.0))) < 1e-12
 
 
 def test_total_index_bound_generic():
     assert THEOREM_PREFACTOR == 51840
-    tot = total_index_bound(1.0, 2.0, 1.0, 10.0)
+    tot = total_index_bound(BoundValue(1.0, ("A1",)), 2.0, 1.0, 10.0)
     assert abs(tot.log10 - (math.log10(51840) + 1.0 + 2.0 + 1.0)) < 1e-12
+    # the generic total multiplies C_eps, so it keeps C_eps's parameters
+    assert tot.parameterized_by == ("A1",)
+    assert tot.human.endswith("(parameterized by A1)")
 
 
 def test_json_round_trips():

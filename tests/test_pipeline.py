@@ -129,6 +129,9 @@ def test_m306_bounds(m306):
     assert ts["provenance"] == "computed"
     assert ts["log10"] == pytest.approx(math.log10(16.0) + b["log10_D_used"], rel=1e-12)
     assert b["total"]["provenance"] == "parameterized (A1)"
+    # the total multiplies C_eps, so it names C_eps's parameters too
+    assert b["total"]["parameterized_by"] == b["c_eps"]["parameterized_by"] == ["A1"]
+    assert b["total"]["human"].endswith("(parameterized by A1)")
     V = m306.input["V"]
     assert b["generic_S_rf"] == pytest.approx(generic_S_rf_bound(1.0, V), rel=1e-12)
 
