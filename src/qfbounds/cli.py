@@ -23,7 +23,6 @@ from .pipeline import (
     complement_stage,
     isometry_stage,
     k_block,
-    k_result,
     run_pipeline,
     run_preset,
     verify_paper_corpus,
@@ -170,7 +169,12 @@ def _cmd_k_constant(args) -> int:
         if args.vol is None:
             raise ValueError("k-constant requires --vol (or --preset m306)")
         cfg = _load_config(args, PipelineConfig())
-        payload = k_block(k_result(args.vol, args.eps, args.log10_C, args.log10_D, cfg))
+        payload = k_block(
+            geometry.effective_K(
+                args.vol, args.eps, args.log10_C, args.log10_D,
+                mode=cfg.rmax_mode, digits=cfg.precision,
+            )
+        )
         lines = [
             "log10 K   %s" % payload["log10_K_str"],
             "h_max     %s" % payload["h_max"],

@@ -467,17 +467,10 @@ def _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, cfg, iso, warnings):
     return bounds_json, sharp
 
 
-def k_result(V, eps, log10_C, log10_D, cfg: PipelineConfig) -> dict:
-    """geometry.effective_K under the configured r_max mode and precision."""
-    return geometry.effective_K(
-        V, eps, log10_C, log10_D, mode=cfg.rmax_mode, digits=cfg.precision
-    )
-
-
 def k_block(kr: dict) -> dict:
-    """log10 K of an effective_K result and the horoball constants it
-    used, as `k-constant --vol` prints them; the K block of a report
-    adds to these."""
+    """log10 K of a geometry.effective_K result and the horoball
+    constants it used, as `k-constant --vol` prints them; the K block of
+    a report adds to these."""
     return {
         "log10_K": float(kr["log10_K"]),
         "log10_K_str": mpmath.nstr(kr["log10_K"], 20),
@@ -499,7 +492,9 @@ def _k_stage(eps, V, cfg, iso, sharp, bounds_json, preset):
     else:
         log10_C = bounds_json["c_eps"]["log10"]
         cd_label = "C_eps (parameterized) * D(level42)"
-    kr = k_result(V, eps, log10_C, log10_D, cfg)
+    kr = geometry.effective_K(
+        V, eps, log10_C, log10_D, mode=cfg.rmax_mode, digits=cfg.precision
+    )
     k_json = k_block(kr)
     k_json.update(
         log10_K_display_variant=float(kr["log10_K_without_vol_eps"]),
