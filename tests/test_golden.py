@@ -14,7 +14,9 @@ print(run_preset('m306').json_str())" > tests/golden/m306.json
 
 The isometry reports (the other two forms likewise) lock descents the
 presets never reach: the first two run the descent solver and its
-Legendre lattice search, the third needs neither.
+Legendre lattice search, the third needs neither.  corpus_eps.txt holds
+the sha256 of each of the 40 seeded corpus reports; tests/corpus_digests.py
+says how it is made.
 """
 
 from pathlib import Path
@@ -36,6 +38,7 @@ for _form in ("14,6,17,-1", "4,7,7,-2", "13,9,12,-14"):
     CASES["isometry_%s.json" % _form.replace(",", "_")] = [
         "-m", "qfbounds.cli", "isometry", _form, "--json",
     ]
+CASES["corpus_eps.txt"] = [str(Path(__file__).resolve().parent / "corpus_digests.py")]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
