@@ -12,7 +12,9 @@ same prime splits it once.  The results are the same factorizations;
 only a cofactor that a light budget could not split alone may now
 split.  Sizes are desk scale: factoring is trial division over a cached
 sieve plus a deterministic Pollard-Brent split of the cofactor, which
-covers every integer this package produces.  Nothing here is meant for
+covers every integer this package produces.  One memo holds every
+number and every cofactor piece factored, so a split, or a failed one,
+is not repeated while the memo holds it.  Nothing here is meant for
 cryptographic-size inputs.
 """
 
@@ -168,8 +170,9 @@ def factorize(n: int, caps=_DEEP_CAPS) -> list[tuple[int, int]]:
     detection).  BudgetExhausted is raised if the cofactor resists the
     splitting budget, which does not occur at the sizes this package
     produces; callers that can tolerate failure may pass smaller caps.
-    Results are memoized, so repeated queries on the same large number
-    cost one split; an exhausted budget is remembered as well.  Inside a
+    Results are memoized, and so is every hard cofactor and Pollard-Brent
+    piece, so a composite met inside many numbers costs one split; an
+    exhausted budget is remembered as well.  Inside a
     known_primes() block the primes found earlier in the block are
     divided out first and every new prime above the sieve is added, so
     only the rest goes to the memoized search.
@@ -207,28 +210,32 @@ def _factorize_cached(n: int, caps) -> tuple | None:
         while rest % p == 0:
             rest //= p
             e += 1
-        out[p] = out.get(p, 0) + e
-    if 1 < rest < _SIEVE_LIMIT * _SIEVE_LIMIT:
-        # trial division proved the cofactor has no factor <= sqrt(rest)
-        out[rest] = out.get(rest, 0) + 1
-        rest = 1
-    stack = [rest] if rest > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
+        out[p] = e
+    if rest < _SIEVE_LIMIT * _SIEVE_LIMIT or is_prime(rest):
+        # rest is 1, prime, or below the sieve squared (then prime)
+        if rest > 1:
+            out[rest] = 1
+        return tuple(sorted(out.items()))
+    if rest < n:
+        pieces = [(rest, 1)]
+    else:
         for k in (2, 3, 5, 7):
-            r = _iroot(m, k)
-            if r ** k == m:
-                stack.extend([r] * k)
+            r = _iroot(n, k)
+            if r ** k == n:
+                pieces = [(r, k)]
                 break
         else:
             try:
-                d = _brent_split(m, caps)
+                d = _brent_split(n, caps)
             except BudgetExhausted:
                 return None
-            stack.extend([d, m // d])
+            pieces = [(d, 1), (n // d, 1)]
+    for m, k in pieces:
+        res = _factorize_cached(m, caps)
+        if res is None:
+            return None
+        for p, e in res:
+            out[p] = out.get(p, 0) + e * k
     return tuple(sorted(out.items()))
 
 

@@ -165,27 +165,26 @@ def unit_lower_inverse(mu) -> list:
     return inv
 
 
-def _val_unit(r: Fraction, p: int) -> tuple[int, Fraction]:
-    """Split r = p**v * u with u a p-adic unit."""
+def _square_class(r) -> int:
+    # n/d and n*d differ by the square d**2, so every local symbol of
+    # r = n/d can be read from the integer n*d
+    if not isinstance(r, (int, Fraction)):
+        r = Fraction(r)
+    return r.numerator * r.denominator
+
+
+def _val_unit(n: int, p: int) -> tuple[int, int]:
+    """Split n = p**v * u with u prime to p."""
     v = 0
-    num, den = r.numerator, r.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
-
-
-def _unit_mod(u: Fraction, m: int) -> int:
-    # u has numerator and denominator prime to m
-    return u.numerator * pow(u.denominator, -1, m) % m
+    return v, n
 
 
 def hilbert_symbol(a, b, v) -> int:
     """Hilbert symbol (a, b)_v over Q_v, for v a prime or INF."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _square_class(a), _square_class(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol requires nonzero arguments")
     if v == INF:
@@ -200,21 +199,22 @@ def hilbert_symbol(a, b, v) -> int:
         if (alpha & 1) and (beta & 1) and p % 4 == 3:
             s = -s
         if beta & 1:
-            s *= legendre_symbol(_unit_mod(ua, p), p)
+            s *= legendre_symbol(ua, p)
         if alpha & 1:
-            s *= legendre_symbol(_unit_mod(ub, p), p)
+            s *= legendre_symbol(ub, p)
         return s
-    ea = (_unit_mod(ua, 8) - 1) // 2 % 2
-    eb = (_unit_mod(ub, 8) - 1) // 2 % 2
-    wa = (_unit_mod(ua, 8) ** 2 - 1) // 8 % 2
-    wb = (_unit_mod(ub, 8) ** 2 - 1) // 8 % 2
+    ua, ub = ua % 8, ub % 8
+    ea = (ua - 1) // 2 % 2
+    eb = (ub - 1) // 2 % 2
+    wa = (ua ** 2 - 1) // 8 % 2
+    wb = (ub ** 2 - 1) // 8 % 2
     exp = ea * eb + alpha * wb + beta * wa
     return -1 if exp % 2 else 1
 
 
 def is_local_square(a, v) -> bool:
     """Is a a square in Q_v?"""
-    a = Fraction(a)
+    a = _square_class(a)
     if a == 0:
         raise ValueError("zero input")
     if v == INF:
@@ -224,8 +224,8 @@ def is_local_square(a, v) -> bool:
     if val % 2:
         return False
     if p == 2:
-        return _unit_mod(u, 8) == 1
-    return legendre_symbol(_unit_mod(u, p), p) == 1
+        return u % 8 == 1
+    return legendre_symbol(u, p) == 1
 
 
 def hasse_witt(q: DiagForm, v) -> int:

@@ -130,14 +130,6 @@ def cassels_bound(g: DiagForm) -> int:
 # isotropic vectors
 
 
-def _spiral(limit: int):
-    # 0, 1, -1, 2, -2, ..., limit, -limit
-    yield 0
-    for k in range(1, limit + 1):
-        yield k
-        yield -k
-
-
 def _pair_shortcut(cs):
     """Isotropic vector supported on two coordinates, when one exists.
 
@@ -160,7 +152,11 @@ def _pair_shortcut(cs):
 
 
 def _shell_first_zero(cs, n_norm):
-    """First zero with max-norm exactly n_norm, coordinates ordered 0,1,-1,2,-2,..."""
+    """First zero with max-norm exactly n_norm, coordinates ordered 0,1,-1,2,-2,...
+
+    A sign flip of any coordinate maps zeros to zeros and k comes before
+    -k, so that first zero is nonnegative: only 0, 1, ..., n_norm are tried.
+    """
     m = len(cs)
     nn = n_norm * n_norm
     pos_suf = [0] * (m + 1)
@@ -190,9 +186,9 @@ def _shell_first_zero(cs, n_norm):
             vec[i] = r
             return True
         c = cs[i]
-        for y in _spiral(n_norm):
+        for y in range(n_norm + 1):
             vec[i] = y
-            if rec(i + 1, val + c * y * y, hit or abs(y) == n_norm):
+            if rec(i + 1, val + c * y * y, hit or y == n_norm):
                 return True
         return False
 
@@ -623,8 +619,9 @@ def cassels_isotropic_vector(g: DiagForm) -> tuple:
     """Deterministic nonzero integral vector y with g(y) = 0.
 
     Tries two-coordinate solutions first, then enumerates shells of
-    increasing max-norm (coordinate values ordered 0, 1, -1, 2, -2, ...)
-    within a rank-dependent budget; forms whose smallest zero lies past
+    increasing max-norm (the first zero in the order 0, 1, -1, 2, -2, ...
+    of each coordinate, which has no negative coordinate) within a
+    rank-dependent budget; forms whose smallest zero lies past
     the budget are decided exactly over the local fields and handed to
     the descent solver.  Raises ValueError when the form is anisotropic.
     Vectors from the bounded search stay within the Cassels bound;
