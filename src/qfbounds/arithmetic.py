@@ -289,6 +289,10 @@ class BoundValue:
     log10: float
     parameterized_by: tuple = ()
 
+    def __post_init__(self):
+        if not math.isfinite(self.log10):
+            raise ValueError("log10 of the bound is not a finite float: %r" % self.log10)
+
     @property
     def human(self) -> str:
         tail = (
@@ -336,9 +340,12 @@ def _require_volume(V: float) -> None:
 
 
 def generic_S_rf_bound(eps: float, V: float) -> float:
-    """r_f + |S| <= eps*C'_eps + eps*log2(V)."""
+    """r_f + |S| <= eps*C'_eps + eps*log2(V), when that is a finite float."""
     _require_volume(V)
-    return eps * c_prime_eps(eps) + eps * math.log2(V)
+    bound = eps * c_prime_eps(eps) + eps * math.log2(V)
+    if not math.isfinite(bound):
+        raise ValueError("eps*C'_eps + eps*log2(V) is not a finite float")
+    return bound
 
 
 # ---------------------------------------------------------------------------

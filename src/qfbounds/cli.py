@@ -38,7 +38,7 @@ def _parse_form(text: str) -> DiagForm:
 
 def _emit(args, payload: dict, human_lines) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in human_lines:
             print(line)

@@ -373,8 +373,8 @@ def effective_K(
     same value without the vol^eps factor (log10_K_without_vol_eps, a
     display variant seen in worked summaries of the same bound), and
     the per-manifold constants (h_max, cosh r_max) they used.  vol_M
-    and eps must be finite and positive, log10_C_eps and log10_D finite
-    (ValueError otherwise).
+    and eps must be finite and positive, log10_C_eps and log10_D finite,
+    and both results must be finite floats (ValueError otherwise).
     """
     if not (mpmath.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive, got %r" % eps)
@@ -393,6 +393,9 @@ def effective_K(
         sinh_term = 5 * _log_sinh(arg) / ln10
         log10_K = base + mpf(eps) * mpmath.log(vol) / ln10 + ball + sinh_term
         log10_K_without_vol_eps = base + ball + sinh_term
+    for value in (log10_K, log10_K_without_vol_eps):
+        if not mpmath.isfinite(float(value)):
+            raise ValueError("log10 K = %s is not a finite float" % mpmath.nstr(value, 6))
     return {
         "log10_K": log10_K,
         "log10_K_without_vol_eps": log10_K_without_vol_eps,

@@ -222,7 +222,7 @@ class PipelineReport:
         return asdict(self)
 
     def json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json(), indent=2, sort_keys=True, allow_nan=False)
 
 
 REPORT_SCHEMA = {
@@ -342,8 +342,7 @@ def run_pipeline(
     warnings = []
     # eps and V are checked before the complement and the descent run
     cpe = _stage("bounds", c_prime_eps, eps)
-    if V is not None:
-        _stage("bounds", arithmetic._require_volume, V)
+    s_rf = _stage("bounds", generic_S_rf_bound, eps, V) if V is not None else None
 
     profile = _stage("invariants", invariant_profile, q)
     isotropic = _stage("invariants", is_isotropic_Q, q)
@@ -361,6 +360,7 @@ def run_pipeline(
     inv_json["cocompact"] = not isotropic
 
     d_raw, K = _stage("field", field_from_form, q)
+    ce = _stage("bounds", c_eps_bound, K, eps, cfg.A1)
     algebra = _stage("field", quaternion_from_form, q)
     computed_norms = ram_norms(algebra)
     r_f_used = algebra.r_f
@@ -382,7 +382,7 @@ def run_pipeline(
     iso = isometry_stage(witness)
     iso_json = iso.to_json()
 
-    bounds_json, sharp = _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, cfg, iso, warnings)
+    bounds_json, sharp = _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, ce, s_rf, cfg, iso, warnings)
 
     geom_json = None
     k_json = None
@@ -423,8 +423,7 @@ def isometry_stage(witness: ComplementWitness) -> IsometryWitness:
     return _stage("isometry", full_isometry_to_standard, witness.qc.direct_sum(witness.q))
 
 
-def _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, cfg, iso, warnings):
-    ce = c_eps_bound(K, eps, cfg.A1)
+def _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, ce, s_rf, cfg, iso, warnings):
     c2 = c2_bound(K, cfg.type_number_one, cfg.A1)
     sharp = None
     if V is not None:
@@ -458,7 +457,7 @@ def _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, cfg, iso, warnings):
         "c_eps": _bound_json(ce),
         "c2": _bound_json(c2),
         "sharp": sharp.to_json() if sharp is not None else None,
-        "generic_S_rf": generic_S_rf_bound(eps, V) if V is not None else None,
+        "generic_S_rf": s_rf,
         "r_f_used": r_f_used,
         "log10_D_used": log10_D,
         "total": total_json,
