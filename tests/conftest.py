@@ -189,6 +189,45 @@ def box_zero_search(cs, bound: int):
     return None
 
 
+def shell_first_zero_spiral(cs, n_norm):
+    """First zero of max-norm exactly n_norm, every coordinate running
+    through 0, 1, -1, 2, -2, ..., n_norm, -n_norm, or None.
+
+    The shell search as it enumerated before it dropped the negative
+    values: a depth-first walk over all sign patterns, pruned only when
+    the remaining coordinates cannot bring the value back to zero.
+    """
+    m = len(cs)
+    nn = n_norm * n_norm
+    pos_suf = [0] * (m + 1)
+    neg_suf = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        pos_suf[i] = pos_suf[i + 1] + max(cs[i], 0) * nn
+        neg_suf[i] = neg_suf[i + 1] + max(-cs[i], 0) * nn
+    spiral = [0] + [s * k for k in range(1, n_norm + 1) for s in (1, -1)]
+    vec = [0] * m
+
+    def rec(i, val, hit):
+        if val - neg_suf[i] > 0 or val + pos_suf[i] < 0:
+            return False
+        if i == m - 1:
+            t = -val
+            if t % cs[i] or t // cs[i] < 0:
+                return False
+            r = math.isqrt(t // cs[i])
+            if r * r != t // cs[i] or r > n_norm or (not hit and r != n_norm):
+                return False
+            vec[i] = r
+            return True
+        for y in spiral:
+            vec[i] = y
+            if rec(i + 1, val + cs[i] * y * y, hit or abs(y) == n_norm):
+                return True
+        return False
+
+    return tuple(vec) if rec(0, 0, False) else None
+
+
 def isotropy_oracle(cs):
     """Independent isotropy decision: True, False, or None when open.
 

@@ -94,6 +94,30 @@ def test_factorize_budget_exhausted(monkeypatch, empty_memo):
     assert not issubclass(BudgetExhausted, ValueError)
 
 
+def test_failed_cofactor_split_is_remembered(monkeypatch, empty_memo):
+    calls = []
+
+    def exhausted(n, caps=exact._DEEP_CAPS):
+        calls.append(n)
+        raise BudgetExhausted("no budget for %d" % n)
+
+    p1, p2 = _primes_above(1 << 32, 2)
+    monkeypatch.setattr(exact, "_brent_split", exhausted)
+    for k in (3, 5):
+        with pytest.raises(BudgetExhausted):
+            factorize(k * p1 * p2)
+    # outside a known_primes() block: the memo alone saves the second attempt
+    assert calls == [p1 * p2]
+
+
+def test_cofactor_split_is_reused(brent_calls):
+    p1, p2 = _primes_above(1 << 32, 2)
+    assert factorize(3 * p1 * p2) == [(3, 1), (p1, 1), (p2, 1)]
+    assert factorize(5 * p1 * p2) == [(5, 1), (p1, 1), (p2, 1)]
+    assert factorize(7 * (p1 * p2) ** 2) == [(7, 1), (p1, 2), (p2, 2)]
+    assert brent_calls == [p1 * p2]
+
+
 def test_factorize_outside_scope_splits_every_new_number(brent_calls):
     p1, p2, p3 = _primes_above(1 << 33, 3)
     assert factorize(p1 * p2) == [(p1, 1), (p2, 1)]

@@ -14,6 +14,7 @@ from qfbounds.forms import (
     hilbert_symbol,
     invariant_profile,
     is_isometric_Q,
+    is_local_square,
     is_isotropic_Q,
     is_similar,
     ldl,
@@ -24,12 +25,14 @@ from qfbounds.forms import (
 from qfbounds.isometry import verify_isometry
 
 from conftest import (
+    brute_is_square_mod,
     congruent_diagonalization,
     det_oracle,
     explicit_isometry_rank2,
     explicit_isometry_rank3,
     hilbert_oracle_odd,
     isotropy_oracle,
+    no_primitive_zero_mod_2k,
     random_nonzero,
     random_unimodular,
 )
@@ -126,6 +129,78 @@ def test_hilbert_symmetry_and_square_stability():
         assert hilbert_symbol(a, b, v) == hilbert_symbol(b, a, v)
         assert hilbert_symbol(a * 9, b, v) == hilbert_symbol(a, b, v)
         assert hilbert_symbol(a, a, v) == hilbert_symbol(a, -1, v)
+
+
+def _random_rational(rng):
+    return Fraction(random_nonzero(rng, -30, 30), rng.randint(2, 12))
+
+
+def _cleared(r):
+    # r times the square of its denominator: an integer in r's square class
+    return int(r * r.denominator ** 2)
+
+
+def test_hilbert_non_integral_arguments_odd_primes():
+    rng = random.Random(205)
+    for _ in range(40):
+        p = rng.choice([3, 5, 7])
+        a, b = _random_rational(rng), _random_rational(rng)
+        assert hilbert_symbol(a, b, p) == hilbert_oracle_odd(_cleared(a), _cleared(b), p)
+
+
+def test_hilbert_at_two_against_anisotropy_certificate():
+    rng = random.Random(206)
+    certified = 0
+    for _ in range(200):
+        a, b = _random_rational(rng), _random_rational(rng)
+        if rng.random() < 0.5:
+            a = a.numerator
+        # no primitive zero of a x^2 + b y^2 - z^2 mod 2^6 proves (a, b)_2 = -1
+        if no_primitive_zero_mod_2k([_cleared(Fraction(a)), _cleared(b), -1], 6):
+            certified += 1
+            assert hilbert_symbol(a, b, 2) == -1
+    assert certified >= 40
+
+
+# (u, v)_2 for u, v in _CLASSES_AT_2, worked out by hand from
+# (u, v)_2 = (-1)^(e(u')e(v') + a w(v') + b w(u')) for u = 2^a u', v = 2^b v',
+# e(x) = (x - 1)/2 and w(x) = (x^2 - 1)/8 mod 2; every -1 is also certified
+# by no_primitive_zero_mod_2k on <u, v, -1> with k = 5
+_CLASSES_AT_2 = (-1, 2, -2, 3, -3, 6, -6)
+_HILBERT_AT_2 = (
+    (-1, 1, -1, -1, 1, -1, 1),
+    (1, 1, 1, -1, -1, -1, -1),
+    (-1, 1, -1, 1, -1, 1, -1),
+    (-1, -1, 1, -1, 1, 1, -1),
+    (1, -1, -1, 1, 1, -1, -1),
+    (-1, -1, 1, 1, -1, -1, 1),
+    (1, -1, -1, -1, -1, 1, 1),
+)
+
+
+def test_hilbert_at_two_table():
+    for u, row in zip(_CLASSES_AT_2, _HILBERT_AT_2):
+        for v, want in zip(_CLASSES_AT_2, row):
+            assert hilbert_symbol(u, v, 2) == want
+            # non-integral representatives of the same square classes
+            assert hilbert_symbol(Fraction(u, 4), Fraction(9, v), 2) == want
+            assert hilbert_symbol(Fraction(25 * u, 49), v, 2) == want
+            assert (want == -1) == no_primitive_zero_mod_2k([u, v, -1], 5)
+
+
+def test_is_local_square_non_integral_against_residue_search():
+    rng = random.Random(207)
+    for _ in range(300):
+        r = _random_rational(rng)
+        assert is_local_square(r, INF) == (r > 0)
+        for p in (2, 3, 5, 7):
+            m, val = _cleared(r), 0
+            while m % p == 0:
+                m //= p
+                val += 1
+            # a p-adic unit is a square iff it is one mod p (mod 8 at p = 2)
+            want = val % 2 == 0 and brute_is_square_mod(m, 8 if p == 2 else p)
+            assert is_local_square(r, p) == want
 
 
 # ---------------------------------------------------------------------------

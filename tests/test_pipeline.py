@@ -542,3 +542,43 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(capsys, ["verify-paper"])
     assert code == 3
     assert "internal error: boom" in err
+
+
+def test_cli_bounds_overflowing_eps_exit_code(capsys):
+    # eps * C'_eps overflows a float although eps itself is finite
+    code, out, err = run_cli(capsys, ["bounds", "1,2,5,-10", "--eps", "1e308", "--json"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: [bounds] log10 of the bound is not a finite float: inf\n"
+
+
+def test_cli_k_constant_overflowing_log10_exit_code(capsys):
+    argv = ["k-constant", "--vol", "1", "--log10-C", "1.7e308", "--log10-D", "1.7e308", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: log10 K = 3.4e+308 is not a finite float")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "eps, V, message",
+    [
+        (1e308, None, "log10 of the bound is not a finite float"),
+        (1e306, 1e14, "eps\\*C'_eps \\+ eps\\*log2\\(V\\) is not a finite float"),
+    ],
+)
+def test_pipeline_checks_overflow_before_complement(monkeypatch, eps, V, message):
+    def unreachable(q):
+        raise AssertionError("the complement ran before the bounds were checked")
+
+    monkeypatch.setattr(pipeline, "complementary_form", unreachable)
+    with pytest.raises(ValueError, match=r"^\[bounds\] " + message):
+        run_pipeline(DiagForm.parse("10,18,14,-11"), eps, V)
+
+
+def test_report_json_is_strict():
+    report = run_pipeline(DiagForm.parse("1,2,5,-10"), 1.0)
+    report.input["eps"] = float("nan")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report.json_str()
