@@ -14,9 +14,13 @@ print(run_preset('m306').json_str())" > tests/golden/m306.json
 
 The isometry reports (the other two forms likewise) lock descents the
 presets never reach: the first two run the descent solver and its
-Legendre lattice search, the third needs neither.  corpus_eps.txt holds
-the sha256 of each of the 40 seeded corpus reports; tests/corpus_digests.py
-says how it is made.
+Legendre lattice search, the third needs neither.  The other CLI files
+lock one `--json` output of each remaining subcommand, so that every
+value kind a report serializes (forms, rationals, bounds, the sharp
+enumeration, mpf constants, the places of the Hasse-Witt map) is
+covered; each is regenerated like k_constant_m306.json with the argv in
+_CLI below.  corpus_eps.txt holds the sha256 of each of the 40 seeded
+corpus reports; tests/corpus_digests.py says how it is made.
 """
 
 from pathlib import Path
@@ -34,6 +38,16 @@ CASES = {
     "bianchi7.json": ["-c", _PRESET % "bianchi7"],
     "k_constant_m306.json": ["-m", "qfbounds.cli", "k-constant", "--preset", "m306", "--json"],
 }
+_CLI = {
+    "invariants_1_2_5_10.json": ["invariants", "1,2,5,10"],
+    "complement_1_2_5_10.json": ["complement", "1,2,5,10"],
+    "bounds_1_2_5_10_V.json": ["bounds", "1,2,5,10", "--eps", "1", "--vol", "3.66386"],
+    "geometry.json": ["geometry"],
+    "k_constant_vol.json": ["k-constant", "--vol", "3.66386"],
+    "verify_paper.json": ["verify-paper"],
+}
+for _name, _argv in _CLI.items():
+    CASES[_name] = ["-m", "qfbounds.cli", *_argv, "--json"]
 for _form in ("14,6,17,-1", "4,7,7,-2", "13,9,12,-14"):
     CASES["isometry_%s.json" % _form.replace(",", "_")] = [
         "-m", "qfbounds.cli", "isometry", _form, "--json",
