@@ -25,13 +25,16 @@ human-readable rendering.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp
 
-from .exact import factorize, is_prime, kronecker_symbol, squarefree_part
+from .exact import factorize, is_prime, kronecker_symbol, primes, squarefree_part
 from .forms import DiagForm, hilbert_symbol
 
 
@@ -61,9 +64,6 @@ class ImagQuadField:
         h_k = class_number_of_disc(disc)
         omega = len(factorize(d_k))
         return cls(d=d, disc=disc, d_k=d_k, h_k=h_k, omega_dk=omega)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def splitting_type(K: ImagQuadField, p: int) -> str:
@@ -140,15 +140,6 @@ class QuatAlgebra:
     field: ImagQuadField
     ram_f: tuple  # entries (p, count_of_primes, norm_each)
     r_f: int
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "field": self.field.to_json(),
-            "ram_f": [list(t) for t in self.ram_f],
-            "r_f": self.r_f,
-        }
 
 
 def field_from_form(q: DiagForm) -> tuple[int, ImagQuadField]:
@@ -286,6 +277,8 @@ def c_prime_eps(eps: float) -> float:
 class BoundValue:
     """log10 of a bound, plus which configured constants parameterize it."""
 
+    JSON_EXTRA = ("human", "provenance")
+
     log10: float
     parameterized_by: tuple = ()
 
@@ -302,12 +295,9 @@ class BoundValue:
         )
         return "<= 10^%.6f%s" % (self.log10, tail)
 
-    def to_json(self) -> dict:
-        return {
-            "log10": self.log10,
-            "parameterized_by": list(self.parameterized_by),
-            "human": self.human,
-        }
+    @property
+    def provenance(self) -> str:
+        return "parameterized (A1)" if self.parameterized_by else "computed"
 
 
 _LOG10_2 = math.log10(2.0)
@@ -352,43 +342,36 @@ def generic_S_rf_bound(eps: float, V: float) -> float:
 # sharp enumeration of level supports
 
 
-def prime_norms_ascending(K: ImagQuadField, count: int, exclude_norms: list | None = None):
-    """First `count` prime norms of K in increasing order, with multiplicity.
+def prime_norms(K: ImagQuadField, exclude_norms=()):
+    """The prime norms of K in increasing order, with multiplicity, unending.
 
     A split rational prime p contributes two norms p, an inert prime one
-    norm p**2, a ramified prime one norm p.  exclude_norms removes that
-    many matching entries (used to skip quaternion-ramified primes).
+    norm p**2, a ramified prime one norm p.  Each entry of exclude_norms
+    skips one matching norm (used to skip quaternion-ramified primes).
+    Inert norms wait in a heap until the primes pass them.
     """
-    remaining = list(exclude_norms or [])
-    found = []
-    p, horizon = 2, 64
-    entries = []
-    while len(found) < count:
-        while p <= horizon:
-            if is_prime(p):
-                t = splitting_type(K, p)
-                norm = p * p if t == "inert" else p
-                entries.append((norm, p, 2 if t == "split" else 1))
-            p += 1
-        entries.sort()
-        found = []
-        pool = list(remaining)
-        for norm, _, mult in entries:
-            if norm > horizon:  # later primes could still slot below this
-                break
-            for _ in range(mult):
-                if norm in pool:
-                    pool.remove(norm)
-                else:
-                    found.append(norm)
-        if len(found) >= count:
-            return found[:count]
-        horizon *= 2
-    return found[:count]
+    skip = Counter(exclude_norms)
+    inert = []
+    for p in primes():
+        norms = []
+        while inert and inert[0] < p:
+            norms.append(heapq.heappop(inert))
+        t = splitting_type(K, p)
+        if t == "inert":
+            heapq.heappush(inert, p * p)
+        else:
+            norms += [p, p] if t == "split" else [p]
+        for norm in norms:
+            if skip[norm]:
+                skip[norm] -= 1
+            else:
+                yield norm
 
 
 @dataclass(frozen=True)
 class SharpEnumeration:
+    JSON_EXTRA = ("coefficient",)
+
     mode: str  # "V" or "eps"
     max_S_size: int | None
     r_f: int
@@ -402,17 +385,6 @@ class SharpEnumeration:
         if self.mode == "V":
             return 2.0 ** (self.max_S_size + self.r_f + 1) * self.deg_kA
         return 2.0 ** (self.r_f + 3) * self.deg_kA
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "max_S_size": self.max_S_size,
-            "coefficient": self.coefficient,
-            "r_f": self.r_f,
-            "deg_kA": self.deg_kA,
-            "norms_considered": list(self.norms_considered),
-            "eps_validity_threshold": self.eps_validity_threshold,
-        }
 
 
 def sharp_S_enumeration(
@@ -439,8 +411,10 @@ def sharp_S_enumeration(
     r_f = len(ram_norms_list)
     if (V is None) == (eps is None):
         raise ValueError("provide exactly one of V (V mode) or eps (eps mode)")
+    if deg_kA < 1:
+        raise ValueError("deg_kA must be at least 1, got %r" % deg_kA)
     if eps is not None:
-        norms = prime_norms_ascending(K, 3, exclude_norms=ram_norms_list)
+        norms = list(itertools.islice(prime_norms(K, ram_norms_list), 3))
         b = (norms[2] + 1) / 2
         threshold = math.log(2) / math.log(b)
         if eps < threshold:
@@ -456,25 +430,20 @@ def sharp_S_enumeration(
             eps_validity_threshold=threshold,
         )
     _require_volume(V)
-    base = K.d_k ** 1.5 * zeta_k_2(K) / (8 * math.pi ** 2 * deg_kA)
+    # every factor is at least 3/2, acc starts positive and V is finite,
+    # so the packing stops
+    acc = K.d_k ** 1.5 * zeta_k_2(K) / (8 * math.pi ** 2 * deg_kA)
     for norm in ram_norms_list:
-        base *= (norm - 1) / 2
-    size = 0
+        acc *= (norm - 1) / 2
     used = []
-    acc = base
-    while True:
-        cand = prime_norms_ascending(K, size + 1, exclude_norms=ram_norms_list)
-        nxt = cand[size]
-        if acc * (nxt + 1) / 2 > V:
+    for norm in prime_norms(K, ram_norms_list):
+        if acc * (norm + 1) / 2 > V:
             break
-        acc *= (nxt + 1) / 2
-        used.append(nxt)
-        size += 1
-        if size > 64:
-            raise RuntimeError("level support enumeration did not terminate")
+        acc *= (norm + 1) / 2
+        used.append(norm)
     return SharpEnumeration(
         mode="V",
-        max_S_size=size,
+        max_S_size=len(used),
         r_f=r_f,
         deg_kA=deg_kA,
         norms_considered=tuple(used),

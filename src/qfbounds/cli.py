@@ -25,6 +25,7 @@ from .pipeline import (
     k_block,
     run_pipeline,
     run_preset,
+    to_json,
     verify_paper_corpus,
 )
 
@@ -56,18 +57,13 @@ def _cmd_invariants(args) -> int:
     q = _parse_form(args.form)
     prof = invariant_profile(q)
     iso = is_isotropic_Q(q)
-    payload = prof.to_json()
-    payload["is_isotropic"] = iso
-    payload["cocompact_when_3_1"] = (q.signature == (3, 1)) and not iso
+    payload = dict(to_json(prof), is_isotropic=iso)
+    payload["cocompact_when_3_1"] = q.signature == (3, 1) and not iso
     lines = [
         "form        %s" % q,
         "signature   %s" % (prof.signature,),
         "disc class  %d" % prof.disc_class,
-        "hasse-witt  %s"
-        % "  ".join(
-            "%s:%+d" % (("inf" if p == float("inf") else p), v)
-            for p, v in sorted(prof.hasse_witt.items(), key=lambda kv: (kv[0] == float("inf"), kv[0]))
-        ),
+        "hasse-witt  %s" % "  ".join("%s:%+d" % pv for pv in payload["hasse_witt"].items()),
         "isotropic/Q %s" % iso,
     ]
     _emit(args, payload, lines)
@@ -92,12 +88,12 @@ def _cmd_isometry(args) -> int:
     q = _parse_form(args.form)
     w, _ = complement_stage(q)
     wit = isometry_stage(w)
-    payload = wit.to_json()
+    payload = to_json(wit)
     lines = [
         "form            %s" % q,
         "complement      %s" % w.qc,
         "7-dim form      %s" % wit.source,
-        "denominator S   %d" % wit.S_denom,
+        "denominator S   %d" % wit.S,
         "log10 D (S^42)  %.6f" % wit.log10_D_S42,
         "log10 D (S^84)  %.6f" % wit.log10_D_level42,
         "P rows:",
@@ -111,7 +107,7 @@ def _cmd_bounds(args) -> int:
     cfg = _load_config(args, PipelineConfig())
     q = _parse_form(args.form)
     rep = run_pipeline(q, args.eps, args.vol, cfg)
-    payload = rep.to_json()
+    payload = to_json(rep)
     b = rep.bounds
     lines = [
         "form          %s" % q,

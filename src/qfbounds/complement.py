@@ -51,6 +51,8 @@ from .forms import (
 
 @dataclass(frozen=True)
 class ComplementWitness:
+    JSON_EXTRA = ("alpha_beta_gamma",)
+
     q: DiagForm
     qc: DiagForm  # squarefree-reduced <sf(x), sf(c), sf(cdx)>
     qc_raw: DiagForm  # <x, c, c*d*x> exactly
@@ -59,20 +61,9 @@ class ComplementWitness:
     d: int
 
     @property
-    def alpha_beta_gamma(self) -> int:
-        # product of the raw coefficients, equal to (x*c)**2 * d
-        return self.x * self.c * (self.c * self.d * self.x)
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q.to_json_list(),
-            "qc": self.qc.to_json_list(),
-            "qc_raw": self.qc_raw.to_json_list(),
-            "c": self.c,
-            "x": self.x,
-            "d": self.d,
-            "alpha_beta_gamma": str(self.alpha_beta_gamma),
-        }
+    def alpha_beta_gamma(self) -> str:
+        """The product of the raw coefficients, (x*c)**2 * d, in decimal."""
+        return str(self.x * self.c * (self.c * self.d * self.x))
 
 
 def _require_input_form(q: DiagForm) -> tuple[int, int, int, int]:

@@ -36,8 +36,6 @@ from .exact import (
 
 INF = float("inf")
 
-Place = "int | float"  # a prime, or INF
-
 
 @dataclass(frozen=True)
 class DiagForm:
@@ -254,16 +252,7 @@ class InvariantProfile:
     rank: int
     signature: tuple[int, int]
     disc_class: int  # squarefree integer representative
-    hasse_witt: dict  # place -> +-1, over the relevant places
-
-    def to_json(self) -> dict:
-        hw = {("inf" if p == INF else str(p)): v for p, v in self.hasse_witt.items()}
-        return {
-            "rank": self.rank,
-            "signature": list(self.signature),
-            "disc_class": self.disc_class,
-            "hasse_witt": hw,
-        }
+    hasse_witt: dict  # place -> +-1, over the relevant places, INF last
 
 
 def invariant_profile(q: DiagForm) -> InvariantProfile:

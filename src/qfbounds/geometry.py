@@ -319,6 +319,9 @@ def _invert_volume(f, vol, lo):
     return (lo + hi) / 2
 
 
+RMAX_MODES = ("paper_h6", "dim3")
+
+
 def rmax_bound_from_volume(vol, mode: str = "paper_h6"):
     """cosh(r_max) for the largest embedded ball the volume allows.
 

@@ -51,7 +51,6 @@ from .exact import (
     kronecker_symbol,
     partial_squarefree,
     primes_in_ap,
-    rat_str,
     smallest_nonresidue_prime,
     squarefree_part,
 )
@@ -71,15 +70,19 @@ from .forms import (
 
 
 def gram_matrix(diag_coeffs, cols):
-    """(P^t A P) for A = diag(diag_coeffs), P given by columns."""
+    """(P^t A P) for A = diag(diag_coeffs), P given by columns.
+
+    The one Gram builder of the package: the descent, its lattice
+    reductions and the exact checks all call it.  It computes the upper
+    triangle and mirrors it.  Sums start from the int 0, so int input
+    gives int entries, which ldl reads as Fractions.
+    """
     n = len(cols)
-    return [
-        [
-            sum((d * u * v for d, u, v in zip(diag_coeffs, cols[i], cols[j])), Fraction(0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = sum(d * u * v for d, u, v in zip(diag_coeffs, cols[i], cols[j]))
+    return g
 
 
 def mat_denominator_lcm(p) -> int:
@@ -283,11 +286,7 @@ def _impose_congruence(basis, l, p):
 
 def _short_vectors3(w, basis, radius):
     """All nonzero lattice vectors v (up to sign) with sum w_i v_i^2 <= radius."""
-
-    def dot(u, v):
-        return sum(wi * ui * vi for wi, ui, vi in zip(w, u, v))
-
-    mu, d = ldl([[dot(u, v) for v in basis] for u in basis])
+    mu, d = ldl(gram_matrix(w, basis))
 
     def bounds(limit, center, weight):
         # integer m with weight*(m+center)^2 <= limit
@@ -410,32 +409,29 @@ def _shrink_zero(cs, y):
 def _lll_columns(weights, cols):
     """LLL-reduce integral columns for the definite form sum w_i x_i^2.
 
-    Keeps the spanned lattice; returns shorter, near-orthogonal columns.
-    The Gram-Schmidt data is the exact ldl of the integer Gram matrix.
+    Keeps the spanned lattice and returns columns that are size-reduced
+    (every |mu_ij| <= 1/2) and meet the Lovasz condition with 3/4.  The
+    Gram-Schmidt data is the exact ldl of the gram_matrix, rebuilt after
+    a swap; a size reduction b_k -= q b_j updates row k of mu in place
+    (mu_kj -= q, mu_ki -= q mu_ji for i < j) and leaves the norms as they are.
     """
     b = [list(col) for col in cols]
     n = len(b)
     if n < 2:
         return b
-
-    def gso():
-        return ldl([[sum(w * x * y for w, x, y in zip(weights, u, v)) for v in b] for u in b])
-
-    mu, norms = gso()
+    mu, norms = ldl(gram_matrix(weights, b))
     k = 1
     for _ in range(100_000):
-        changed = False
         for j in range(k - 1, -1, -1):
             f = mu[k][j]
             q = (2 * f.numerator + f.denominator) // (2 * f.denominator)
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                changed = True
-        if changed:
-            mu, norms = gso()
+                # mu[j] is 1 at j and 0 past it
+                mu[k] = [x - q * y for x, y in zip(mu[k], mu[j])]
         if norms[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = gso()
+            mu, norms = ldl(gram_matrix(weights, b))
             k = max(k - 1, 1)
         else:
             k += 1
@@ -483,14 +479,7 @@ def _represents_locally(cs, t, v) -> bool:
 
 
 def _represents_Q(cs, t) -> bool:
-    """Does the integral diagonal form represent the nonzero t over Q?"""
-    if len(cs) == 1:
-        f = Fraction(t, cs[0])
-        return (
-            f > 0
-            and is_perfect_square(f.numerator)
-            and is_perfect_square(f.denominator)
-        )
+    """Does the integral diagonal form of rank >= 2 represent the nonzero t over Q?"""
     return is_isotropic_Q(DiagForm(tuple(cs) + (-t,)))
 
 
@@ -741,7 +730,7 @@ def reduce_once(g: DiagForm):
     cs = [Fraction(c) for c in g.coeffs]
     n = len(cs)
     x = represent_one(g)
-    log = {"x": [rat_str(t) for t in x], "repairs": []}
+    log = {"x": list(x), "repairs": []}
     if n == 1:
         return [[Fraction(1)]], DiagForm((1,)), log
 
@@ -792,32 +781,23 @@ def reduce_once(g: DiagForm):
 
 @dataclass(frozen=True)
 class IsometryWitness:
+    JSON_EXTRA = ("log10_D_S42", "log10_D_level42")
+
     P: list  # rows of Fractions
     source: DiagForm
     target: DiagForm
-    S_denom: int
+    S: int  # the lcm of the denominators of P
     steps: list
 
     @property
     def log10_D_S42(self) -> float:
         """log10 S**42: the index bound at congruence level S."""
-        return 42.0 * math.log10(self.S_denom)
+        return 42.0 * math.log10(self.S)
 
     @property
     def log10_D_level42(self) -> float:
         """log10 (S**2)**42: the index bound at congruence level S**2."""
-        return 84.0 * math.log10(self.S_denom)
-
-    def to_json(self) -> dict:
-        return {
-            "P": [[rat_str(x) for x in row] for row in self.P],
-            "source": self.source.to_json_list(),
-            "target": self.target.to_json_list(),
-            "S": self.S_denom,
-            "log10_D_S42": self.log10_D_S42,
-            "log10_D_level42": self.log10_D_level42,
-            "steps": self.steps,
-        }
+        return 84.0 * math.log10(self.S)
 
 
 def verify_isometry(p, source: DiagForm, target: DiagForm) -> bool:
@@ -898,6 +878,6 @@ def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
         P=m,
         source=g7,
         target=target,
-        S_denom=mat_denominator_lcm(m),
+        S=mat_denominator_lcm(m),
         steps=steps,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -34,7 +34,8 @@ from .arithmetic import (
     total_index_bound,
 )
 from .complement import ComplementWitness, complementary_form, verify_complement
-from .forms import DiagForm, invariant_profile, is_isotropic_Q, standard_lorentzian
+from .exact import rat_str
+from .forms import INF, DiagForm, invariant_profile, is_isotropic_Q, standard_lorentzian
 from .isometry import IsometryWitness, full_isometry_to_standard, verify_isometry
 
 Q61 = standard_lorentzian(6)
@@ -70,6 +71,14 @@ class PipelineConfig:
             raise ValueError("precision must be at least 15 digits, got %d" % self.precision)
         if self.precision > 1000:
             raise ValueError("precision must be at most 1000 digits, got %d" % self.precision)
+        if self.deg_kA < 1:
+            raise ValueError("deg_kA must be at least 1, got %d" % self.deg_kA)
+        if self.assume_rf is not None and self.assume_rf < 0:
+            raise ValueError("assume_rf must be nonnegative, got %d" % self.assume_rf)
+        if self.rmax_mode not in geometry.RMAX_MODES:
+            raise ValueError(
+                "rmax_mode must be one of %s, got %r" % (", ".join(geometry.RMAX_MODES), self.rmax_mode)
+            )
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -101,9 +110,6 @@ class PipelineConfig:
                 raise ValueError("unknown config key %r" % key)
             kwargs[key] = casts[key](val)
         return cls(**kwargs)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +209,32 @@ PRESETS = {
 # report
 
 
+def to_json(value):
+    """The JSON form of a report value; the one place that decides it.
+
+    A DiagForm becomes its coefficient strings (DiagForm.to_json_list), a
+    dataclass its fields plus the properties named in its JSON_EXTRA, a
+    Fraction its rat_str, a tuple a list, and a dict key its str, which
+    writes the place INF as "inf".  Anything else is already JSON.
+    """
+
+    def conv(v):
+        if isinstance(v, DiagForm):
+            return v.to_json_list()
+        if is_dataclass(v):
+            names = [f.name for f in fields(v)] + list(getattr(v, "JSON_EXTRA", ()))
+            return {name: conv(getattr(v, name)) for name in names}
+        if isinstance(v, Fraction):
+            return rat_str(v)
+        if isinstance(v, (list, tuple)):
+            return [conv(x) for x in v]
+        if isinstance(v, dict):
+            return {str(k): conv(x) for k, x in v.items()}
+        return v
+
+    return conv(value)
+
+
 @dataclass
 class PipelineReport:
     input: dict
@@ -218,11 +250,8 @@ class PipelineReport:
     config: dict
     warnings: list
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
     def json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(to_json(self), indent=2, sort_keys=True, allow_nan=False)
 
 
 REPORT_SCHEMA = {
@@ -312,12 +341,6 @@ REPORT_SCHEMA = {
 }
 
 
-def _bound_json(bv) -> dict:
-    out = bv.to_json()
-    out["provenance"] = "parameterized (A1)" if bv.parameterized_by else "computed"
-    return out
-
-
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -348,16 +371,12 @@ def run_pipeline(
     isotropic = _stage("invariants", is_isotropic_Q, q)
     if q.signature != (3, 1):
         raise ValueError("[invariants] expected signature (3,1), got %s" % (q.signature,))
-    inv_json = profile.to_json()
-    inv_json["nontrivial_places"] = sorted(
-        (p for p, v in profile.hasse_witt.items() if v == -1 and p != float("inf")),
-        key=lambda p: (isinstance(p, float), p),
+    inv_json = to_json(profile)
+    inv_json.update(
+        nontrivial_places=sorted(p for p, v in profile.hasse_witt.items() if v == -1 and p != INF),
+        is_isotropic=isotropic,
+        cocompact=not isotropic,
     )
-    inv_json["nontrivial_places"] = [
-        ("inf" if isinstance(p, float) else p) for p in inv_json["nontrivial_places"]
-    ]
-    inv_json["is_isotropic"] = isotropic
-    inv_json["cocompact"] = not isotropic
 
     d_raw, K = _stage("field", field_from_form, q)
     ce = _stage("bounds", c_eps_bound, K, eps, cfg.A1)
@@ -380,7 +399,6 @@ def run_pipeline(
 
     witness, comp_json = complement_stage(q)
     iso = isometry_stage(witness)
-    iso_json = iso.to_json()
 
     bounds_json, sharp = _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, ce, s_rf, cfg, iso, warnings)
 
@@ -396,15 +414,15 @@ def run_pipeline(
     return PipelineReport(
         input={"form": str(q), "eps": eps, "V": V},
         invariants=inv_json,
-        field=K.to_json(),
-        quaternion=algebra.to_json(),
+        field=to_json(K),
+        quaternion=to_json(algebra),
         complement=comp_json,
-        isometry=iso_json,
+        isometry=to_json(iso),
         bounds=bounds_json,
         geometry=geom_json,
         K=k_json,
         preset=preset_json,
-        config=cfg.to_json(),
+        config=to_json(cfg),
         warnings=warnings,
     )
 
@@ -413,9 +431,7 @@ def complement_stage(q: DiagForm) -> tuple[ComplementWitness, dict]:
     """The complement witness of q and its report block; raises unless
     the complement verifies."""
     witness = _stage("complement", complementary_form, q)
-    comp_json = witness.to_json()
-    comp_json["verified"] = True
-    return witness, comp_json
+    return witness, dict(to_json(witness), verified=True)
 
 
 def isometry_stage(witness: ComplementWitness) -> IsometryWitness:
@@ -444,25 +460,23 @@ def _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, ce, s_rf, cfg, iso, warn
     if sharp is not None and sharp.r_f != r_f_used:
         sharp = replace(sharp, r_f=r_f_used)
     log10_D = iso.log10_D_level42
-    total = total_index_bound(ce, log10_D, eps, V if V is not None else 1.0)
-    total_json = _bound_json(total)
-    total_sharp_json = None
-    if sharp is not None:
-        ts = total_index_bound(ce, log10_D, eps, V if V is not None else 1.0, sharp=sharp)
-        total_sharp_json = _bound_json(ts)
-        if sharp.mode == "eps" and V is None:
-            total_sharp_json["human"] += " * V^%g (V symbolic)" % eps
-    bounds_json = {
-        "c_prime_eps": cpe,
-        "c_eps": _bound_json(ce),
-        "c2": _bound_json(c2),
-        "sharp": sharp.to_json() if sharp is not None else None,
-        "generic_S_rf": s_rf,
-        "r_f_used": r_f_used,
-        "log10_D_used": log10_D,
-        "total": total_json,
-        "total_sharp": total_sharp_json,
-    }
+    V_or_1 = V if V is not None else 1.0
+    total_sharp = None if sharp is None else total_index_bound(ce, log10_D, eps, V_or_1, sharp=sharp)
+    bounds_json = to_json(
+        {
+            "c_prime_eps": cpe,
+            "c_eps": ce,
+            "c2": c2,
+            "sharp": sharp,
+            "generic_S_rf": s_rf,
+            "r_f_used": r_f_used,
+            "log10_D_used": log10_D,
+            "total": total_index_bound(ce, log10_D, eps, V_or_1),
+            "total_sharp": total_sharp,
+        }
+    )
+    if sharp is not None and sharp.mode == "eps" and V is None:
+        bounds_json["total_sharp"]["human"] += " * V^%g (V symbolic)" % eps
     return bounds_json, sharp
 
 

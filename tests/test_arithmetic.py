@@ -7,6 +7,7 @@ truncated character sum and an ideal sum, and the covolume formulas
 against each other through their exact quotient.
 """
 
+import itertools
 import json
 import math
 import random
@@ -28,7 +29,7 @@ from qfbounds.arithmetic import (
     generic_S_rf_bound,
     maximal_covolume,
     prime_norm,
-    prime_norms_ascending,
+    prime_norms,
     quaternion_algebra,
     quaternion_from_form,
     ram_norms,
@@ -39,6 +40,7 @@ from qfbounds.arithmetic import (
     _zeta_k_2_of_disc,
 )
 from qfbounds.forms import DiagForm, hilbert_symbol
+from qfbounds.pipeline import to_json
 from conftest import (
     brute_is_square_mod,
     brute_primes,
@@ -370,11 +372,14 @@ def test_bound_value_human_format():
 
 
 def test_prime_norms_ascending_fixed():
+    def first(K, count, exclude_norms=()):
+        return list(itertools.islice(prime_norms(K, exclude_norms), count))
+
     Qi = ImagQuadField.from_d(1)
-    assert prime_norms_ascending(Qi, 8) == [2, 5, 5, 9, 13, 13, 17, 17]
+    assert first(Qi, 8) == [2, 5, 5, 9, 13, 13, 17, 17]
     Q7 = ImagQuadField.from_d(7)
-    assert prime_norms_ascending(Q7, 6) == [2, 2, 7, 9, 11, 11]
-    assert prime_norms_ascending(Qi, 5, exclude_norms=[5, 5]) == [2, 9, 13, 13, 17]
+    assert first(Q7, 6) == [2, 2, 7, 9, 11, 11]
+    assert first(Qi, 5, exclude_norms=[5, 5]) == [2, 9, 13, 13, 17]
 
 
 def test_sharp_enumeration_v_mode_small_volume():
@@ -425,6 +430,30 @@ def test_sharp_enumeration_argument_validation():
         sharp_S_enumeration(Qi, [], V=0.0)
 
 
+@pytest.mark.parametrize("deg", [0, -1])
+@pytest.mark.parametrize("mode", [{"V": 4.0}, {"eps": 1.0}])
+def test_sharp_enumeration_rejects_degree_below_one(deg, mode):
+    # deg 0 would divide by zero and a negative one would make the
+    # V-mode packing run forever
+    Qi = ImagQuadField.from_d(1)
+    with pytest.raises(ValueError, match="deg_kA must be at least 1, got %d" % deg):
+        sharp_S_enumeration(Qi, [5, 5], deg_kA=deg, **mode)
+
+
+def test_sharp_enumeration_v_mode_huge_volume():
+    # the packing follows the prime norms as far as V needs, past the
+    # 64 norms a fixed guard used to allow
+    Qi = ImagQuadField.from_d(1)
+    sh = sharp_S_enumeration(Qi, [5, 5], V=1e200)
+    norms = list(sh.norms_considered)
+    assert sh.max_S_size == len(norms) > 64
+    assert norms == list(itertools.islice(prime_norms(Qi, [5, 5]), len(norms)))
+    base = Qi.d_k ** 1.5 * zeta_k_2(Qi) / (8 * math.pi ** 2) * 2 * 2
+    acc = base * math.prod((n + 1) / 2 for n in norms)
+    nxt = next(itertools.islice(prime_norms(Qi, [5, 5]), len(norms), None))
+    assert acc <= 1e200 < acc * (nxt + 1) / 2
+
+
 # ---------------------------------------------------------------------------
 # assembled index bounds
 
@@ -464,7 +493,7 @@ def test_json_round_trips():
     A = quaternion_from_form(DiagForm((1, 2, 5, -10)))
     sh = sharp_S_enumeration(Qi, [5, 5], V=4.0)
     bv = c_eps_bound(Qi, 1.0)
-    for obj in (Qi.to_json(), A.to_json(), sh.to_json(), bv.to_json()):
+    for obj in (to_json(Qi), to_json(A), to_json(sh), to_json(bv)):
         assert json.loads(json.dumps(obj, sort_keys=True)) == obj
-    assert A.to_json()["ram_f"] == [[5, 2, 5]]
-    assert bv.to_json()["human"] == bv.human
+    assert to_json(A)["ram_f"] == [[5, 2, 5]]
+    assert to_json(bv)["human"] == bv.human

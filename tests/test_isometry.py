@@ -19,10 +19,12 @@ from qfbounds.isometry import (
     reduce_once,
     represent_one,
     verify_isometry,
+    _lll_columns,
     _perp_basis,
     _repair_basis,
     gram_matrix,
 )
+from qfbounds.pipeline import to_json
 
 from conftest import cassels_box_bound, det_oracle, random_nonzero, run_python
 
@@ -132,6 +134,48 @@ def test_reduce_once_rank7():
     assert mat_denominator_lcm(p) <= bound_E(g)
 
 
+def _weighted_gso(weights, cols):
+    """Gram-Schmidt coefficients and squared norms under sum w_i x_i y_i,
+    by the textbook recursion on the orthogonalized vectors."""
+
+    def dot(u, v):
+        return sum(Fraction(w) * x * y for w, x, y in zip(weights, u, v))
+
+    star, mu, norms = [], [], []
+    for b in cols:
+        v = [Fraction(x) for x in b]
+        row = [dot(b, s) / n for s, n in zip(star, norms)]
+        for m, s in zip(row, star):
+            v = [x - m * y for x, y in zip(v, s)]
+        star.append(v)
+        mu.append(row)
+        norms.append(dot(v, v))
+    return mu, norms
+
+
+def test_lll_columns_size_reduced_lovasz_same_lattice():
+    rng = random.Random(816)
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        weights = [rng.randint(1, 30) for _ in range(n)]
+        cols = [[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)]
+        det = det_oracle([list(r) for r in zip(*cols)])
+        if det == 0:
+            continue
+        out = _lll_columns(weights, cols)
+        # same lattice: the output lies in it (integral Cramer coordinates)
+        # and has the same covolume
+        assert abs(det_oracle([list(r) for r in zip(*out)])) == abs(det)
+        for col in out:
+            for i in range(n):
+                swapped = cols[:i] + [col] + cols[i + 1:]
+                assert (det_oracle([list(r) for r in zip(*swapped)]) / det).denominator == 1
+        mu, norms = _weighted_gso(weights, out)
+        assert all(abs(m) <= Fraction(1, 2) for row in mu for m in row)
+        for k in range(1, n):
+            assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
 def _leading_minor(diag, cols, k):
     return det_oracle([row[:k] for row in gram_matrix(diag, cols)[:k]])
 
@@ -206,7 +250,7 @@ def test_reduce_once_bound_compliance():
 
 def test_full_isometry_identity():
     w = full_isometry_to_standard(Q61)
-    assert w.S_denom == 1
+    assert w.S == 1
     assert w.P == [[Fraction(1 if i == j else 0) for j in range(7)] for i in range(7)]
     assert verify_isometry(w.P, Q61, Q61)
 
@@ -216,7 +260,7 @@ def test_full_isometry_bianchi_like_form():
     w = full_isometry_to_standard(g)
     assert w.source == g and w.target == Q61
     assert verify_isometry(w.P, g, Q61)
-    assert mat_denominator_lcm(w.P) == w.S_denom
+    assert mat_denominator_lcm(w.P) == w.S
 
 
 def test_full_isometry_m306_like_form():
@@ -261,13 +305,13 @@ def test_verify_isometry_basics():
 def test_witness_json_and_index_bounds():
     g = DiagForm((1, 1, 7, 1, 1, 1, -7))
     w = full_isometry_to_standard(g)
-    js = w.to_json()
-    assert js["S"] == w.S_denom
-    assert js["log10_D_S42"] == pytest.approx(42 * math.log10(w.S_denom))
-    assert js["log10_D_level42"] == pytest.approx(84 * math.log10(w.S_denom))
+    js = to_json(w)
+    assert js["S"] == w.S
+    assert js["log10_D_S42"] == pytest.approx(42 * math.log10(w.S))
+    assert js["log10_D_level42"] == pytest.approx(84 * math.log10(w.S))
 
     def with_S(S):
-        return IsometryWitness(P=w.P, source=g, target=Q61, S_denom=S, steps=[])
+        return IsometryWitness(P=w.P, source=g, target=Q61, S=S, steps=[])
 
     d = with_S(1)
     assert d.log10_D_S42 == 0.0 and d.log10_D_level42 == 0.0
@@ -289,4 +333,4 @@ def test_round_trip_random_forms():
         g7 = witness.qc.direct_sum(q)
         w = full_isometry_to_standard(g7)
         assert verify_isometry(w.P, g7, Q61)
-        assert mat_denominator_lcm(w.P) == w.S_denom
+        assert mat_denominator_lcm(w.P) == w.S

@@ -16,6 +16,7 @@ from qfbounds.pipeline import (
     REPORT_SCHEMA,
     run_pipeline,
     run_preset,
+    to_json,
     verify_paper_corpus,
 )
 
@@ -46,7 +47,7 @@ def warning_codes(rep):
 
 
 def test_report_schema_m306(m306):
-    doc = m306.to_json()
+    doc = to_json(m306)
     jsonschema.validate(instance=doc, schema=REPORT_SCHEMA)
     # V is fixed for this preset, so the geometry and K stages run
     assert doc["geometry"] is not None
@@ -55,7 +56,7 @@ def test_report_schema_m306(m306):
 
 
 def test_report_schema_bianchi7(b7):
-    doc = b7.to_json()
+    doc = to_json(b7)
     jsonschema.validate(instance=doc, schema=REPORT_SCHEMA)
     # no volume: bound stage stays symbolic in V, no K stage
     assert doc["geometry"] is None
@@ -215,7 +216,7 @@ def test_bianchi7_blocks(b7):
 
 def test_plain_run_isotropic_input():
     rep = run_pipeline(DiagForm.parse("1,1,1,-1"), 1.0)
-    jsonschema.validate(instance=rep.to_json(), schema=REPORT_SCHEMA)
+    jsonschema.validate(instance=to_json(rep), schema=REPORT_SCHEMA)
     assert rep.invariants["is_isotropic"] is True
     assert rep.invariants["cocompact"] is False
     assert rep.preset is None
@@ -575,6 +576,39 @@ def test_pipeline_checks_overflow_before_complement(monkeypatch, eps, V, message
     monkeypatch.setattr(pipeline, "complementary_form", unreachable)
     with pytest.raises(ValueError, match=r"^\[bounds\] " + message):
         run_pipeline(DiagForm.parse("10,18,14,-11"), eps, V)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("deg_kA = 0", "deg_kA must be at least 1, got 0"),
+        ("deg_kA = -1", "deg_kA must be at least 1, got -1"),
+        ("assume_rf = -1", "assume_rf must be nonnegative, got -1"),
+        ("rmax_mode = foo", "rmax_mode must be one of paper_h6, dim3, got 'foo'"),
+    ],
+)
+def test_cli_bad_config_value_exit_code(tmp_path, monkeypatch, capsys, line, message):
+    def unreachable(q):
+        raise AssertionError("the complement ran before the config was checked")
+
+    monkeypatch.setattr(pipeline, "complementary_form", unreachable)
+    path = tmp_path / "cfg"
+    path.write_text(line + "\n")
+    code, out, err = run_cli(capsys, BOUNDS_ARGV + ["--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_cli_bounds_huge_volume_exit_code(capsys):
+    # a finite V of any size ends in a report, not in an exhausted guard
+    code, out, _ = run_cli(capsys, ["bounds", "1,2,5,-10", "--eps", "1", "--vol", "1e200", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(instance=doc, schema=REPORT_SCHEMA)
+    sharp = doc["bounds"]["sharp"]
+    assert sharp["mode"] == "V"
+    assert sharp["max_S_size"] == len(sharp["norms_considered"]) > 64
 
 
 def test_report_json_is_strict():
