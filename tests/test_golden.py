@@ -14,7 +14,10 @@ print(run_preset('m306').json_str())" > tests/golden/m306.json
 
 The isometry reports (the other two forms likewise) lock descents the
 presets never reach: the first two run the descent solver and its
-Legendre lattice search, the third needs neither.  The other CLI files
+Legendre lattice search, the third needs neither.  The
+isometry_construction_*.json files lock the same three forms through
+the construction path (complementary_form, then the descent without a
+budget), printed by _CONSTRUCTION below.  The other CLI files
 lock one `--json` output of each remaining subcommand, so that every
 value kind a report serializes (forms, rationals, bounds, the sharp
 enumeration, mpf constants, the places of the Hasse-Witt map) is
@@ -32,6 +35,14 @@ from conftest import run_python
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _PRESET = "from qfbounds.pipeline import run_preset; print(run_preset(%r).json_str())"
+_CONSTRUCTION = (
+    "import json, sys; from qfbounds.forms import DiagForm; "
+    "from qfbounds.complement import complementary_form; "
+    "from qfbounds.isometry import full_isometry_to_standard; "
+    "from qfbounds.pipeline import to_json; q = DiagForm.parse(sys.argv[1]); "
+    "g7 = complementary_form(q).qc.direct_sum(q); "
+    "print(json.dumps(to_json(full_isometry_to_standard(g7)), indent=2, sort_keys=True))"
+)
 
 CASES = {
     "m306.json": ["-c", _PRESET % "m306"],
@@ -52,6 +63,8 @@ for _form in ("14,6,17,-1", "4,7,7,-2", "13,9,12,-14"):
     CASES["isometry_%s.json" % _form.replace(",", "_")] = [
         "-m", "qfbounds.cli", "isometry", _form, "--json",
     ]
+for _form in ("14,6,17,-1", "4,7,7,-2", "13,9,12,-14"):
+    CASES["isometry_construction_%s.json" % _form.replace(",", "_")] = ["-c", _CONSTRUCTION, _form]
 CASES["corpus_eps.txt"] = [str(Path(__file__).resolve().parent / "corpus_digests.py")]
 
 
