@@ -239,6 +239,15 @@ class CovolumeParams:
         return len(self.S_norms) if self.m is None else self.m
 
 
+def require_degree(K: ImagQuadField, deg_kA: int) -> None:
+    """Reject a degree [k_A:k] outside [1, h_k]: k_A lies in the Hilbert
+    class field of k, whose degree over k is h_k."""
+    if deg_kA < 1:
+        raise ValueError("deg_kA must be at least 1, got %r" % deg_kA)
+    if deg_kA > K.h_k:
+        raise ValueError("deg_kA must be at most the class number h_k = %d, got %r" % (K.h_k, deg_kA))
+
+
 def maximal_covolume(K: ImagQuadField, A: QuatAlgebra, params: CovolumeParams) -> float:
     """Covolume of the maximal lattice with level support S.
 
@@ -249,8 +258,7 @@ def maximal_covolume(K: ImagQuadField, A: QuatAlgebra, params: CovolumeParams) -
     m = params.resolved_m()
     if not 0 <= m <= len(params.S_norms):
         raise ValueError("m must satisfy 0 <= m <= |S|")
-    if not 1 <= params.deg_kA <= K.h_k:
-        raise ValueError("[k_A:k] must lie in [1, h_k]")
+    require_degree(K, params.deg_kA)
     val = K.d_k ** 1.5 * zeta_k_2(K) / (8 * math.pi ** 2 * params.deg_kA * 2 ** m)
     for norm in ram_norms(A):
         val *= (norm - 1) / 2
@@ -411,8 +419,7 @@ def sharp_S_enumeration(
     r_f = len(ram_norms_list)
     if (V is None) == (eps is None):
         raise ValueError("provide exactly one of V (V mode) or eps (eps mode)")
-    if deg_kA < 1:
-        raise ValueError("deg_kA must be at least 1, got %r" % deg_kA)
+    require_degree(K, deg_kA)
     if eps is not None:
         norms = list(itertools.islice(prime_norms(K, ram_norms_list), 3))
         b = (norms[2] + 1) / 2

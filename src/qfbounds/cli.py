@@ -20,8 +20,7 @@ from .forms import DiagForm, invariant_profile, is_isotropic_Q
 from .pipeline import (
     PRESETS,
     PipelineConfig,
-    complement_stage,
-    isometry_stage,
+    complement_isometry_stage,
     k_block,
     run_pipeline,
     run_preset,
@@ -72,10 +71,14 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_complement(args) -> int:
     q = _parse_form(args.form)
-    w, payload = complement_stage(q)
+    payload, _, w, _ = complement_isometry_stage(q)
+    if w.strategy == "search":
+        how = "search (%d candidate descents tried)" % payload["candidates_tried"]
+    else:
+        how = "construction: d = %d, c = %d, x = %d" % (w.d, w.c, w.x)
     lines = [
         "form        %s" % q,
-        "d = %d, c = %d, x = %d" % (w.d, w.c, w.x),
+        "strategy    %s" % how,
         "qc (raw)    %s" % w.qc_raw,
         "qc          %s" % w.qc,
         "verified    True",
@@ -86,14 +89,13 @@ def _cmd_complement(args) -> int:
 
 def _cmd_isometry(args) -> int:
     q = _parse_form(args.form)
-    w, _ = complement_stage(q)
-    wit = isometry_stage(w)
-    payload = to_json(wit)
+    _, payload, w, wit = complement_isometry_stage(q)
     lines = [
         "form            %s" % q,
-        "complement      %s" % w.qc,
+        "complement      %s (%s)" % (w.qc, w.strategy),
         "7-dim form      %s" % wit.source,
         "denominator S   %d" % wit.S,
+        "lower bound     %d (rad det)" % payload["S_lower_bound"],
         "log10 D (S^42)  %.6f" % wit.log10_D_S42,
         "log10 D (S^84)  %.6f" % wit.log10_D_level42,
         "P rows:",

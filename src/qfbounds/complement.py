@@ -1,13 +1,41 @@
 """Complementary definite ternary forms.
 
 Given an integral form q = <z1, z2, z3, -z4> of signature (3, 1), this
-module constructs a positive definite ternary form q_c = <x, c, c*d*x>
-(d = z1*z2*z3*z4) whose direct sum with q is rationally isometric to
-the standard form <1,1,1,1,1,1,-1>.  Equivalently: disc(q_c) = -disc(q)
-as square classes and q_c has the same Hasse-Witt invariant as q at
-every place.
+module finds positive definite ternary forms q_c whose direct sum with
+q is rationally isometric to the standard form <1,1,1,1,1,1,-1>.
+Equivalently: disc(q_c) = -disc(q) as square classes and q_c has the
+same Hasse-Witt invariant as q at every place.  Two routes give one:
 
-The two free parameters are produced deterministically:
+Search (search_complements, tried first).  Every squarefree triple
+a <= b <= c with a*b*c in the square class of d = z1*z2*z3*z4 is
+enumerated by increasing a + b + c, with c = sf(D*a*b) for D = sf(d)
+found by gcds.  The Hasse-Witt condition is then local: <a, b, c> must
+have q's symbol at every prime of 2*d*a*b*c (both are 1 elsewhere), and
+q's symbols are computed once per form.  The survivors are ranked by the
+proven lower bound rad(det(q_c + q)) on the isometry's denominator S,
+then by a + b + c.  Small complements keep det g7 small, so the
+descent needs little factoring and S stays near its lower bound; the
+published complements <2,5,10> and <1,1,7> are found this way.  The
+constants, with their reasons:
+
+  SEARCH_KEEP = 8:  survivors kept.  The pipeline descends them in rank
+      order and usually stops after two finished descents, so eight
+      leave room for candidates whose descent exhausts its budget.
+  SEARCH_MAX_SUM = 2**14:  the largest a + b + c.  The windows double
+      from 64 and each costs O(window) gcds.  A prime above it that
+      divides d to an odd power divides a coefficient of every triple,
+      and the construction runs instead.
+  pipeline.DESCENT_MAX_COEFFS, first entry 2**40:  a candidate's descent
+      stops once a coefficient passes it; the descents that run for
+      seconds to minutes pass it within a few rounds.  On forms where
+      every candidate passes it, the candidates are descended again
+      under its square, up to 2**320, before the construction runs.
+  pipeline.FINISHED_DESCENTS = 2:  finished descents after which the
+      candidates stop (or sooner, once the best S is at most twice the
+      next candidate's lower bound); later ones rarely do better.
+
+Construction (complementary_form, the fallback that always succeeds):
+q_c = <x, c, c*d*x>, with the two parameters produced deterministically:
 
   c:  for each prime p | 2d put z_p = 1 when v_p(d) is even and 0 when
       odd, and take c = prod p**z_p.  This forces c and -d into
@@ -41,6 +69,7 @@ from .exact import (
 )
 from .forms import (
     DiagForm,
+    det_radical,
     hasse_witt,
     hilbert_symbol,
     is_isometric_Q,
@@ -48,22 +77,28 @@ from .forms import (
     standard_lorentzian,
 )
 
+# see the module docstring
+SEARCH_KEEP = 8
+SEARCH_MAX_SUM = 1 << 14
+
 
 @dataclass(frozen=True)
 class ComplementWitness:
     JSON_EXTRA = ("alpha_beta_gamma",)
 
     q: DiagForm
-    qc: DiagForm  # squarefree-reduced <sf(x), sf(c), sf(cdx)>
-    qc_raw: DiagForm  # <x, c, c*d*x> exactly
-    c: int
-    x: int
+    qc: DiagForm  # squarefree coefficients: <a, b, c> or <sf(x), sf(c), sf(cdx)>
+    qc_raw: DiagForm  # qc itself, or <x, c, c*d*x> exactly
+    c: int | None  # the construction's parameters; None for a searched complement
+    x: int | None
     d: int
+    strategy: str  # "search" or "construction"
 
     @property
     def alpha_beta_gamma(self) -> str:
-        """The product of the raw coefficients, (x*c)**2 * d, in decimal."""
-        return str(self.x * self.c * (self.c * self.d * self.x))
+        """The product of the raw coefficients ((x*c)**2 * d for the
+        construction), in decimal."""
+        return str(math.prod(self.qc_raw.int_coeffs()))
 
 
 def _require_input_form(q: DiagForm) -> tuple[int, int, int, int]:
@@ -168,10 +203,111 @@ def complementary_form(q: DiagForm) -> ComplementWitness:
     x = choose_x(q, c)
     raw = DiagForm((x, c, c * d * x))
     reduced = raw.squarefree_normalized()
-    witness = ComplementWitness(q=q, qc=reduced, qc_raw=raw, c=c, x=x, d=d)
+    witness = ComplementWitness(q=q, qc=reduced, qc_raw=raw, c=c, x=x, d=d, strategy="construction")
     if not verify_complement(q, reduced):
         raise RuntimeError("constructed complement failed verification for %s" % q)
     return witness
+
+
+# ---------------------------------------------------------------------------
+# search: the smallest complements
+
+
+def _prime_list(n: int) -> list[int]:
+    return [p for p, _ in factorize(n)]
+
+
+def _divisors(ps) -> list[int]:
+    out = [1]
+    for p in ps:
+        out += [x * p for x in out]
+    return out
+
+
+def _squarefree_flags(n: int) -> bytearray:
+    flags = bytearray([1]) * (n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        flags[p * p :: p * p] = bytes(len(flags[p * p :: p * p]))
+    return flags
+
+
+def _triples(D: int, lo: int, hi: int):
+    """(a + b + c, a, b, c) for the squarefree a <= b <= c with a*b*c in
+    the square class of D and lo < a + b + c <= hi.
+
+    With e = sf(D*a) = D*a / gcd(D, a)**2, the pair is b = g*u, c = g*v
+    with u*v = e, u <= v and g = gcd(b, c) squarefree and prime to e;
+    so c = sf(D*a*b) comes from gcds, and only D and a are factored.
+    """
+    sqf = _squarefree_flags(hi)
+    d_primes = _prime_list(D)
+    for a in range(1, hi // 3 + 1):
+        if not sqf[a]:
+            continue
+        h = math.gcd(D, a)
+        e = (D // h) * (a // h)
+        if 4 * e > (hi - a) ** 2:  # u + v >= 2 sqrt(e)
+            continue
+        for u in _divisors(sorted(set(d_primes).symmetric_difference(_prime_list(a)))):
+            v = e // u
+            if u > v or u + v > hi - a:
+                continue
+            for g in range(-(-a // u), (hi - a) // (u + v) + 1):
+                s = a + g * (u + v)
+                if s > lo and sqf[g] and math.gcd(g, e) == 1:
+                    yield s, a, g * u, g * v
+
+
+def _search_targets(q: DiagForm) -> tuple[int, dict[int, int]]:
+    """D = sf(d) and q's Hasse-Witt symbol at each prime of 2d."""
+    z1, z2, z3, z4 = _require_input_form(q)
+    fac = factorize(2 * z1 * z2 * z3 * z4)
+    D = math.prod(p for p, e in fac if (e - (p == 2)) % 2)
+    return D, {p: hasse_witt(q, p) for p, _ in fac}
+
+
+def _hasse_witt_matches(targets: dict[int, int], a: int, b: int, c: int) -> bool:
+    """Does <a, b, c> have q's Hasse-Witt symbol at every prime?
+
+    targets holds q's symbols at the primes of 2d; both symbols are 1
+    at every other prime not dividing a*b*c, and the primes of c are
+    among those of d*a*b.  An odd prime whose target is -1 must divide
+    a*b*c, which rules most triples out before any symbol is computed.
+    """
+    if any(t == -1 and p != 2 and a % p and b % p and c % p for p, t in targets.items()):
+        return False
+    places = set(targets).union(_prime_list(a), _prime_list(b))
+    return all(
+        hilbert_symbol(a, b, p) * hilbert_symbol(a, c, p) * hilbert_symbol(b, c, p) == targets.get(p, 1)
+        for p in sorted(places)
+    )
+
+
+def search_complements(q: DiagForm) -> list[ComplementWitness]:
+    """Up to SEARCH_KEEP complements <a, b, c>, the first by increasing
+    a + b + c to pass the local filter, ranked by the proven lower bound
+    rad(det(qc + q)) on S and then by a + b + c.
+
+    Empty when no triple with a + b + c <= SEARCH_MAX_SUM passes.  The
+    filter is exact (see verify_complement), but each witness is still
+    confirmed by verify_complement before its descent.
+    """
+    D, targets = _search_targets(q)
+    d = abs(int(q.disc))
+    found = []
+    lo, hi = 0, 64
+    while len(found) < SEARCH_KEEP and hi <= SEARCH_MAX_SUM:
+        for _, a, b, c in sorted(_triples(D, lo, hi)):
+            if _hasse_witt_matches(targets, a, b, c):
+                found.append(DiagForm((a, b, c)))
+                if len(found) == SEARCH_KEEP:
+                    break
+        lo, hi = hi, 2 * hi
+    witnesses = [
+        ComplementWitness(q=q, qc=qc, qc_raw=qc, c=None, x=None, d=d, strategy="search")
+        for qc in found
+    ]
+    return sorted(witnesses, key=lambda w: (det_radical(w.qc.direct_sum(q)), sum(w.qc.coeffs)))
 
 
 def verify_complement(q: DiagForm, qc: DiagForm) -> bool:

@@ -21,6 +21,7 @@ their pivots, leading minors and triangular changes of basis from it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -243,6 +244,16 @@ def relevant_places(q: DiagForm) -> list:
         for p, _ in factorize(c.denominator):
             ps.add(p)
     return sorted(ps) + [INF]
+
+
+def det_radical(q: DiagForm) -> int:
+    """The product of the primes dividing the numerator or the
+    denominator of disc(q)."""
+    ps = set()
+    for c in q.coeffs:
+        ps.update(p for p, _ in factorize(abs(c.numerator)))
+        ps.update(p for p, _ in factorize(c.denominator))
+    return math.prod(ps)
 
 
 @dataclass(frozen=True)

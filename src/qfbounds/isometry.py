@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    BudgetExhausted,
     crt_solve,
     factorize,
     is_perfect_square,
@@ -57,6 +58,7 @@ from .exact import (
 from .forms import (
     DiagForm,
     _isotropic_at,
+    det_radical,
     is_isometric_Q,
     is_isotropic_Q,
     ldl,
@@ -411,9 +413,10 @@ def _lll_columns(weights, cols):
 
     Keeps the spanned lattice and returns columns that are size-reduced
     (every |mu_ij| <= 1/2) and meet the Lovasz condition with 3/4.  The
-    Gram-Schmidt data is the exact ldl of the gram_matrix, rebuilt after
-    a swap; a size reduction b_k -= q b_j updates row k of mu in place
-    (mu_kj -= q, mu_ki -= q mu_ji for i < j) and leaves the norms as they are.
+    Gram-Schmidt data is the exact ldl of the gram_matrix, computed once
+    and then updated in place: a size reduction b_k -= q b_j updates row
+    k of mu (mu_kj -= q, mu_ki -= q mu_ji for i < j) and leaves the norms
+    as they are, and a swap applies the exact LLL swap formulas.
     """
     b = [list(col) for col in cols]
     n = len(b)
@@ -431,13 +434,27 @@ def _lll_columns(weights, cols):
                 mu[k] = [x - q * y for x, y in zip(mu[k], mu[j])]
         if norms[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = ldl(gram_matrix(weights, b))
+            _swap_gram_schmidt(mu, norms, k)
             k = max(k - 1, 1)
         else:
             k += 1
             if k == n:
                 return b
     raise RuntimeError("lattice reduction did not terminate")
+
+
+def _swap_gram_schmidt(mu, norms, k):
+    """Gram-Schmidt data of the basis after swapping b_{k-1} and b_k."""
+    m = mu[k][k - 1]
+    new = norms[k] + m * m * norms[k - 1]
+    mu[k][k - 1] = m * norms[k - 1] / new
+    norms[k] = norms[k - 1] * norms[k] / new
+    norms[k - 1] = new
+    mu[k][: k - 1], mu[k - 1][: k - 1] = mu[k - 1][: k - 1], mu[k][: k - 1]
+    for row in mu[k + 1 :]:
+        t = row[k]
+        row[k] = row[k - 1] - m * t
+        row[k - 1] = t + mu[k][k - 1] * row[k]
 
 
 def _normalize_zero(cs, num):
@@ -814,7 +831,7 @@ def verify_isometry(p, source: DiagForm, target: DiagForm) -> bool:
     )
 
 
-def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
+def full_isometry_to_standard(g7: DiagForm, max_coeff: int | None = None) -> IsometryWitness:
     """Exact rational isometry from g7 onto <1,1,1,1,1,1,-1>.
 
     g7 must be integral of rank 7 and rationally isometric to the
@@ -823,6 +840,11 @@ def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
     rounds run in one exact.known_primes() block: each round's
     coefficients tend to share the large primes of the last, and the
     block lets factorize split each such prime once per descent.
+
+    With max_coeff set, a round that leaves a coefficient above it in
+    absolute value ends the descent with BudgetExhausted.  S is checked
+    to be a multiple of rad(det g7), which divides the denominator of
+    every isometry onto the target (forms.det_radical).
     """
     n = 7
     target = standard_lorentzian(6)
@@ -868,16 +890,15 @@ def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
             for a, ia in enumerate(active):
                 cur[ia] = int(g_sub.coeffs[a])
             steps.append(log)
+            if max_coeff is not None and any(abs(c) > max_coeff for c in cur):
+                raise BudgetExhausted("a descent coefficient passed %d" % max_coeff)
         else:
             raise RuntimeError("reduction did not terminate")
 
     m = [list(row) for row in zip(*cols)]
     if not verify_isometry(m, g7, target):
         raise RuntimeError("final congruence check failed")
-    return IsometryWitness(
-        P=m,
-        source=g7,
-        target=target,
-        S=mat_denominator_lcm(m),
-        steps=steps,
-    )
+    S = mat_denominator_lcm(m)
+    if S % det_radical(g7):
+        raise RuntimeError("S = %d is not a multiple of rad(det g7) = %d" % (S, det_radical(g7)))
+    return IsometryWitness(P=m, source=g7, target=target, S=S, steps=steps)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 import mpmath
@@ -30,15 +30,29 @@ from .arithmetic import (
     generic_S_rf_bound,
     quaternion_from_form,
     ram_norms,
+    require_degree,
     sharp_S_enumeration,
     total_index_bound,
 )
-from .complement import ComplementWitness, complementary_form, verify_complement
-from .exact import rat_str
-from .forms import INF, DiagForm, invariant_profile, is_isotropic_Q, standard_lorentzian
+from .complement import ComplementWitness, complementary_form, search_complements, verify_complement
+from .exact import BudgetExhausted, rat_str
+from .forms import INF, DiagForm, det_radical, invariant_profile, is_isotropic_Q, standard_lorentzian
 from .isometry import IsometryWitness, full_isometry_to_standard, verify_isometry
 
 Q61 = standard_lorentzian(6)
+
+# A searched candidate's descent stops once a coefficient passes 2**40
+# (BudgetExhausted): on the seeded corpus every chosen descent stays
+# below it, while the descents that run for seconds to minutes pass it
+# within a few rounds.  On some forms every candidate passes it (8 of
+# 188 seeded forms with z_i <= 30, where the construction failed after
+# 150 s on <24,2,15,-29>); the candidates are then descended again
+# under the squared budget.
+DESCENT_MAX_COEFFS = (1 << 40, 1 << 80, 1 << 160, 1 << 320)
+# Finished descents after which the candidates stop: on 79 seeded corpus
+# forms (seeds 405 and 406) the second beat the first on 10, and a third
+# to eighth beat the best of two on 6, by at most a factor of 9 in S.
+FINISHED_DESCENTS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +66,11 @@ class PipelineConfig:
     A1 is an absolute constant of the underlying effectivity results,
     not pinned numerically by the source; bounds that depend on it say
     so.  assume_rf replaces the computed finite-ramification count in
-    the bound stage (the computed value is still reported, with a
-    warning).  type_number_one asserts one conjugacy class of maximal
-    orders, making C2 = 1.  precision is the number of decimal digits
+    the bound stage by a smaller one, keeping the smallest ramified
+    norms (the computed value is still reported, with a warning); a
+    count above the computed one is rejected, and so is a deg_kA above
+    the class number, once the field is known.  type_number_one
+    asserts one conjugacy class of maximal orders, making C2 = 1.  precision is the number of decimal digits
     of the geometry and K stages, from 15 to 1000.  rmax_mode selects the
     ball-volume inversion (geometry.rmax_bound_from_volume).
     """
@@ -293,10 +309,44 @@ REPORT_SCHEMA = {
         },
         "field": {"type": "object", "required": ["d", "disc", "d_k", "h_k", "omega_dk"]},
         "quaternion": {"type": "object", "required": ["a", "b", "ram_f", "r_f"]},
-        "complement": {"type": "object", "required": ["qc", "c", "x", "d", "verified"]},
+        "complement": {
+            "type": "object",
+            "required": ["qc", "c", "x", "d", "verified", "strategy", "candidates_tried"],
+            "properties": {"candidates_tried": {"type": "integer", "minimum": 0}},
+            "oneOf": [
+                {
+                    "properties": {
+                        "strategy": {"const": "search"},
+                        "c": {"type": "null"},
+                        "x": {"type": "null"},
+                    }
+                },
+                {
+                    "properties": {
+                        "strategy": {"const": "construction"},
+                        "c": {"type": "integer"},
+                        "x": {"type": "integer"},
+                    }
+                },
+            ],
+        },
         "isometry": {
             "type": "object",
-            "required": ["P", "source", "target", "S", "log10_D_S42", "log10_D_level42"],
+            "required": [
+                "P",
+                "source",
+                "target",
+                "S",
+                "S_lower_bound",
+                "log10_S_slack",
+                "log10_D_S42",
+                "log10_D_level42",
+            ],
+            "properties": {
+                "S": {"type": "integer", "minimum": 1},
+                "S_lower_bound": {"type": "integer", "minimum": 1},
+                "log10_S_slack": {"type": "number", "minimum": 0},
+            },
         },
         "bounds": {
             "type": "object",
@@ -379,13 +429,16 @@ def run_pipeline(
     )
 
     d_raw, K = _stage("field", field_from_form, q)
+    _stage("field", require_degree, K, cfg.deg_kA)
     ce = _stage("bounds", c_eps_bound, K, eps, cfg.A1)
     algebra = _stage("field", quaternion_from_form, q)
+    if cfg.assume_rf is not None and cfg.assume_rf > algebra.r_f:
+        raise ValueError(
+            "[field] assume_rf = %d exceeds the computed r_f = %d" % (cfg.assume_rf, algebra.r_f)
+        )
     computed_norms = ram_norms(algebra)
-    r_f_used = algebra.r_f
     norms_used = computed_norms
     if cfg.assume_rf is not None and cfg.assume_rf != algebra.r_f:
-        r_f_used = cfg.assume_rf
         norms_used = computed_norms[: cfg.assume_rf]
         warnings.append(
             {
@@ -397,10 +450,9 @@ def run_pipeline(
             }
         )
 
-    witness, comp_json = complement_stage(q)
-    iso = isometry_stage(witness)
+    comp_json, iso_json, _, iso = complement_isometry_stage(q)
 
-    bounds_json, sharp = _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, ce, s_rf, cfg, iso, warnings)
+    bounds_json, sharp = _bounds_stage(K, norms_used, eps, V, cpe, ce, s_rf, cfg, iso, warnings)
 
     geom_json = None
     k_json = None
@@ -417,7 +469,7 @@ def run_pipeline(
         field=to_json(K),
         quaternion=to_json(algebra),
         complement=comp_json,
-        isometry=to_json(iso),
+        isometry=iso_json,
         bounds=bounds_json,
         geometry=geom_json,
         K=k_json,
@@ -427,19 +479,61 @@ def run_pipeline(
     )
 
 
-def complement_stage(q: DiagForm) -> tuple[ComplementWitness, dict]:
-    """The complement witness of q and its report block; raises unless
-    the complement verifies."""
-    witness = _stage("complement", complementary_form, q)
-    return witness, dict(to_json(witness), verified=True)
+def complement_isometry_stage(q: DiagForm) -> tuple[dict, dict, ComplementWitness, IsometryWitness]:
+    """The complement of q, its isometry, and their report blocks.
+
+    The searched complements (complement.search_complements) are
+    confirmed by verify_complement, then descended in rank order under
+    the first budget of DESCENT_MAX_COEFFS (_best_descent); when none
+    finishes, the candidates are descended again under the next budget.
+    When no candidate finishes under any of them, the construction runs
+    without a budget.
+    """
+    candidates = _stage("complement", search_complements, q)
+    for w in candidates:
+        if not verify_complement(q, w.qc):
+            raise RuntimeError("searched complement %s failed verification for %s" % (w.qc, q))
+    best, tried = None, 0
+    for max_coeff in DESCENT_MAX_COEFFS if candidates else ():
+        best, n = _best_descent(q, candidates, max_coeff)
+        tried += n
+        if best is not None:
+            break
+    else:
+        w = _stage("complement", complementary_form, q)
+        best = (w, _stage("isometry", full_isometry_to_standard, w.qc.direct_sum(q)))
+    witness, iso = best
+    comp_json = dict(to_json(witness), verified=True, candidates_tried=tried)
+    lower = det_radical(iso.source)
+    iso_json = dict(to_json(iso), S_lower_bound=lower, log10_S_slack=math.log10(iso.S // lower))
+    return comp_json, iso_json, witness, iso
 
 
-def isometry_stage(witness: ComplementWitness) -> IsometryWitness:
-    """The exact isometry from qc + q to q_{6,1}."""
-    return _stage("isometry", full_isometry_to_standard, witness.qc.direct_sum(witness.q))
+def _best_descent(q, candidates, max_coeff):
+    """The candidate and isometry with the smallest S among the descents
+    that finish under max_coeff, or None, and the number of descents run.
+
+    A descent that exhausts the budget means "try the next candidate".
+    The descents stop after FINISHED_DESCENTS finished ones, or once the
+    best S is at most twice the next candidate's lower bound rad(det g7).
+    """
+    best, tried, finished = None, 0, 0
+    for w in candidates:
+        g7 = w.qc.direct_sum(q)
+        if best is not None and (finished == FINISHED_DESCENTS or best[1].S <= 2 * det_radical(g7)):
+            break
+        tried += 1
+        try:
+            iso = full_isometry_to_standard(g7, max_coeff=max_coeff)
+        except BudgetExhausted:
+            continue
+        finished += 1
+        if best is None or iso.S < best[1].S:
+            best = (w, iso)
+    return best, tried
 
 
-def _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, ce, s_rf, cfg, iso, warnings):
+def _bounds_stage(K, norms_used, eps, V, cpe, ce, s_rf, cfg, iso, warnings):
     c2 = c2_bound(K, cfg.type_number_one, cfg.A1)
     sharp = None
     if V is not None:
@@ -456,9 +550,6 @@ def _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, ce, s_rf, cfg, iso, warn
                     "message": str(exc),
                 }
             )
-    # the sharp coefficient uses the (possibly overridden) r_f
-    if sharp is not None and sharp.r_f != r_f_used:
-        sharp = replace(sharp, r_f=r_f_used)
     log10_D = iso.log10_D_level42
     V_or_1 = V if V is not None else 1.0
     total_sharp = None if sharp is None else total_index_bound(ce, log10_D, eps, V_or_1, sharp=sharp)
@@ -469,7 +560,7 @@ def _bounds_stage(K, norms_used, r_f_used, eps, V, cpe, ce, s_rf, cfg, iso, warn
             "c2": c2,
             "sharp": sharp,
             "generic_S_rf": s_rf,
-            "r_f_used": r_f_used,
+            "r_f_used": len(norms_used),
             "log10_D_used": log10_D,
             "total": total_index_bound(ce, log10_D, eps, V_or_1),
             "total_sharp": total_sharp,

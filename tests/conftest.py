@@ -352,6 +352,46 @@ def congruent_diagonalization(q_coeffs, u):
     return symmetric_diag(a)
 
 
+def weighted_gso(weights, cols):
+    """Gram-Schmidt coefficients and squared norms under sum w_i x_i y_i,
+    by the textbook recursion on the orthogonalized vectors."""
+
+    def dot(u, v):
+        return sum(Fraction(w) * x * y for w, x, y in zip(weights, u, v))
+
+    star, mu, norms = [], [], []
+    for b in cols:
+        v = [Fraction(x) for x in b]
+        row = [dot(b, s) / n for s, n in zip(star, norms)]
+        for m, s in zip(row, star):
+            v = [x - m * y for x, y in zip(v, s)]
+        star.append(v)
+        mu.append(row)
+        norms.append(dot(v, v))
+    return mu, norms
+
+
+def lll_columns_rebuild(weights, cols):
+    """LLL with the decisions of isometry._lll_columns (size reduction
+    from j = k-1 down, rounding half up, Lovasz constant 3/4), its
+    Gram-Schmidt data recomputed by weighted_gso after every change."""
+    b = [list(c) for c in cols]
+    k = 1
+    while k < len(b):
+        mu, norms = weighted_gso(weights, b)
+        for j in range(k - 1, -1, -1):
+            q = math.floor(mu[k][j] + Fraction(1, 2))
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, norms = weighted_gso(weights, b)
+        if norms[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return b
+
+
 def symmetric_diag(a):
     """Diagonal entries of a congruent diagonal matrix (no pivot fails
     assumed beyond degenerate input)."""

@@ -440,6 +440,19 @@ def test_sharp_enumeration_rejects_degree_below_one(deg, mode):
         sharp_S_enumeration(Qi, [5, 5], deg_kA=deg, **mode)
 
 
+@pytest.mark.parametrize("mode", [{"V": 4.0}, {"eps": 1.0}])
+def test_sharp_enumeration_rejects_degree_above_class_number(mode):
+    # k_A lies in the Hilbert class field, so [k_A:k] <= h_k
+    Qi = ImagQuadField.from_d(1)
+    with pytest.raises(ValueError, match="deg_kA must be at most the class number h_k = 1, got 2"):
+        sharp_S_enumeration(Qi, [5, 5], deg_kA=2, **mode)
+    K = ImagQuadField.from_d(5)
+    assert K.h_k == 2
+    assert sharp_S_enumeration(K, [], deg_kA=2, **mode).deg_kA == 2
+    with pytest.raises(ValueError, match="h_k = 2, got 3"):
+        sharp_S_enumeration(K, [], deg_kA=3, **mode)
+
+
 def test_sharp_enumeration_v_mode_huge_volume():
     # the packing follows the prime norms as far as V needs, past the
     # 64 norms a fixed guard used to allow

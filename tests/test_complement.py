@@ -6,16 +6,21 @@ import random
 import pytest
 
 from qfbounds.complement import (
+    SEARCH_KEEP,
+    _hasse_witt_matches,
+    _search_targets,
+    _triples,
     choose_c,
     choose_x,
     complementary_form,
+    search_complements,
     verify_complement,
 )
 from qfbounds.forms import DiagForm, hasse_witt, hilbert_symbol, relevant_places
 from qfbounds.exact import factorize
 from qfbounds.pipeline import to_json
 
-from conftest import random_nonzero
+from conftest import random_nonzero, squarefree_int
 
 
 def test_choose_c_fixed_values():
@@ -137,3 +142,57 @@ def test_complementary_form_rejects_bad_input():
         complementary_form(DiagForm((1, 1, 1, 1)))
     with pytest.raises(ValueError):
         complementary_form(DiagForm((1, 1, -7)))
+
+# ---------------------------------------------------------------------------
+# the search
+
+
+def _square_class_triples(d, limit):
+    """Squarefree a <= b <= c, a + b + c <= limit, with a*b*c*d a square,
+    by brute force."""
+    sqf = [n for n in range(1, limit + 1) if squarefree_int(n) == n]
+    out = []
+    for i, a in enumerate(sqf):
+        for j in range(i, len(sqf)):
+            b = sqf[j]
+            for c in sqf[j:]:
+                if a + b + c > limit:
+                    break
+                if squarefree_int(a * b * c * d) == 1:
+                    out.append((a, b, c))
+    return out
+
+
+def test_search_filter_agrees_with_verify_complement():
+    rng = random.Random(303)
+    forms = [(1, 2, 5, 10), (1, 1, 1, 7), (1, 1, 1, 1)]
+    while len(forms) < 36:
+        zs = _random_31_form(rng, 20)
+        if len(set(zs)) > 1:
+            forms.append(tuple(zs))
+    seen = {True: 0, False: 0}
+    for zs in forms:
+        q = DiagForm((zs[0], zs[1], zs[2], -zs[3]))
+        D, targets = _search_targets(q)
+        d = zs[0] * zs[1] * zs[2] * zs[3]
+        assert squarefree_int(D) == D and squarefree_int(d * D) == 1
+        triples = _square_class_triples(d, 60)
+        # the enumeration yields exactly these, in any order
+        assert sorted(t[1:] for t in _triples(D, 0, 60)) == sorted(triples)
+        for a, b, c in triples:
+            ok = verify_complement(q, DiagForm((a, b, c)))
+            assert _hasse_witt_matches(targets, a, b, c) == ok, (zs, (a, b, c))
+            seen[ok] += 1
+    assert seen[True] >= 50 and seen[False] >= 50
+
+
+def test_search_complements_ranked_and_verified():
+    q = DiagForm((1, 2, 5, -10))
+    found = search_complements(q)
+    assert len(found) == SEARCH_KEEP
+    assert str(found[0].qc) == "<2,5,10>"
+    for w in found:
+        assert w.strategy == "search" and w.c is None and w.x is None
+        assert w.qc == w.qc_raw and verify_complement(q, w.qc)
+    # a prime of d above SEARCH_MAX_SUM divides one of a, b, c: nothing fits
+    assert search_complements(DiagForm((1, 1, 1, -1_000_003))) == []

@@ -26,7 +26,14 @@ from qfbounds.isometry import (
 )
 from qfbounds.pipeline import to_json
 
-from conftest import cassels_box_bound, det_oracle, random_nonzero, run_python
+from conftest import (
+    cassels_box_bound,
+    det_oracle,
+    lll_columns_rebuild,
+    random_nonzero,
+    run_python,
+    weighted_gso,
+)
 
 Q61 = standard_lorentzian(6)
 
@@ -134,34 +141,21 @@ def test_reduce_once_rank7():
     assert mat_denominator_lcm(p) <= bound_E(g)
 
 
-def _weighted_gso(weights, cols):
-    """Gram-Schmidt coefficients and squared norms under sum w_i x_i y_i,
-    by the textbook recursion on the orthogonalized vectors."""
-
-    def dot(u, v):
-        return sum(Fraction(w) * x * y for w, x, y in zip(weights, u, v))
-
-    star, mu, norms = [], [], []
-    for b in cols:
-        v = [Fraction(x) for x in b]
-        row = [dot(b, s) / n for s, n in zip(star, norms)]
-        for m, s in zip(row, star):
-            v = [x - m * y for x, y in zip(v, s)]
-        star.append(v)
-        mu.append(row)
-        norms.append(dot(v, v))
-    return mu, norms
-
-
-def test_lll_columns_size_reduced_lovasz_same_lattice():
+def _lll_cases():
+    """400 seeded bases: (weights, columns) with a nonzero determinant."""
     rng = random.Random(816)
     for _ in range(400):
         n = rng.randint(2, 5)
         weights = [rng.randint(1, 30) for _ in range(n)]
         cols = [[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)]
         det = det_oracle([list(r) for r in zip(*cols)])
-        if det == 0:
-            continue
+        if det != 0:
+            yield weights, cols, det
+
+
+def test_lll_columns_size_reduced_lovasz_same_lattice():
+    for weights, cols, det in _lll_cases():
+        n = len(cols)
         out = _lll_columns(weights, cols)
         # same lattice: the output lies in it (integral Cramer coordinates)
         # and has the same covolume
@@ -170,10 +164,17 @@ def test_lll_columns_size_reduced_lovasz_same_lattice():
             for i in range(n):
                 swapped = cols[:i] + [col] + cols[i + 1:]
                 assert (det_oracle([list(r) for r in zip(*swapped)]) / det).denominator == 1
-        mu, norms = _weighted_gso(weights, out)
+        mu, norms = weighted_gso(weights, out)
         assert all(abs(m) <= Fraction(1, 2) for row in mu for m in row)
         for k in range(1, n):
             assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+def test_lll_columns_in_place_updates_match_rebuild():
+    # the swap updates mu and the norms in place; exact arithmetic makes
+    # every decision, and so every output, equal to a full recomputation
+    for weights, cols, _ in _lll_cases():
+        assert _lll_columns(weights, cols) == lll_columns_rebuild(weights, cols)
 
 
 def _leading_minor(diag, cols, k):

@@ -3,13 +3,19 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfbounds import cli, pipeline
 from qfbounds.arithmetic import generic_S_rf_bound
+from qfbounds.complement import complementary_form
+from qfbounds.exact import BudgetExhausted
 from qfbounds.forms import DiagForm
+from qfbounds.isometry import full_isometry_to_standard
 from qfbounds.pipeline import (
     PRESETS,
     PipelineConfig,
@@ -21,6 +27,7 @@ from qfbounds.pipeline import (
 )
 
 from conftest import run_python
+from corpus_digests import corpus as seeded_corpus
 
 
 @pytest.fixture(scope="module")
@@ -524,7 +531,7 @@ def test_pipeline_checks_eps_and_volume_before_complement(monkeypatch, eps, V):
     def unreachable(q):
         raise AssertionError("the complement ran before eps and V were checked")
 
-    monkeypatch.setattr(pipeline, "complementary_form", unreachable)
+    monkeypatch.setattr(pipeline, "complement_isometry_stage", unreachable)
     with pytest.raises(ValueError, match=r"^\[bounds\] (eps|V) must be finite and positive"):
         run_pipeline(DiagForm.parse("10,18,14,-11"), eps, V)
 
@@ -573,7 +580,7 @@ def test_pipeline_checks_overflow_before_complement(monkeypatch, eps, V, message
     def unreachable(q):
         raise AssertionError("the complement ran before the bounds were checked")
 
-    monkeypatch.setattr(pipeline, "complementary_form", unreachable)
+    monkeypatch.setattr(pipeline, "complement_isometry_stage", unreachable)
     with pytest.raises(ValueError, match=r"^\[bounds\] " + message):
         run_pipeline(DiagForm.parse("10,18,14,-11"), eps, V)
 
@@ -585,13 +592,16 @@ def test_pipeline_checks_overflow_before_complement(monkeypatch, eps, V, message
         ("deg_kA = -1", "deg_kA must be at least 1, got -1"),
         ("assume_rf = -1", "assume_rf must be nonnegative, got -1"),
         ("rmax_mode = foo", "rmax_mode must be one of paper_h6, dim3, got 'foo'"),
+        # Q(i) has class number 1, and <1,2,5,-10> two ramified primes
+        ("deg_kA = 3", "[field] deg_kA must be at most the class number h_k = 1, got 3"),
+        ("assume_rf = 5", "[field] assume_rf = 5 exceeds the computed r_f = 2"),
     ],
 )
 def test_cli_bad_config_value_exit_code(tmp_path, monkeypatch, capsys, line, message):
     def unreachable(q):
         raise AssertionError("the complement ran before the config was checked")
 
-    monkeypatch.setattr(pipeline, "complementary_form", unreachable)
+    monkeypatch.setattr(pipeline, "complement_isometry_stage", unreachable)
     path = tmp_path / "cfg"
     path.write_text(line + "\n")
     code, out, err = run_cli(capsys, BOUNDS_ARGV + ["--config", str(path)])
@@ -616,3 +626,70 @@ def test_report_json_is_strict():
     report.input["eps"] = float("nan")
     with pytest.raises(ValueError, match="not JSON compliant"):
         report.json_str()
+
+
+# ---------------------------------------------------------------------------
+# the complement search
+
+
+def test_search_presets(m306, b7):
+    # the published complements <2,5,10> and <1,1,7> give S = 40 and 7
+    assert m306.complement["strategy"] == "search"
+    assert m306.isometry["S"] <= 20
+    assert b7.isometry["S"] == 7
+    for rep in (m306, b7):
+        assert rep.complement["c"] is None and rep.complement["x"] is None
+        assert rep.isometry["S"] % rep.isometry["S_lower_bound"] == 0
+
+
+def test_search_hard_form_ends_in_report():
+    # the construction's descent for this form ran out of its factoring budget
+    start = time.perf_counter()
+    report = run_pipeline(DiagForm.parse("15,51,39,-40"), 1.0)
+    assert time.perf_counter() - start < 5
+    assert report.complement["strategy"] == "search"
+
+
+def test_descent_budget_stops_runaway_descent():
+    # without a budget this descent ran about 55 s
+    g7 = DiagForm((15, 35, 39, 6, 3, 14, -13))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExhausted):
+        full_isometry_to_standard(g7, max_coeff=pipeline.DESCENT_MAX_COEFFS[0])
+    assert time.perf_counter() - start < 1
+
+
+def test_searched_S_at_most_constructed_on_corpus():
+    # true on the seeded corpus, not a theorem: the descent is erratic
+    for cs in seeded_corpus():
+        q = DiagForm(cs)
+        _, iso_json, witness, iso = pipeline.complement_isometry_stage(q)
+        assert witness.strategy == "search"
+        assert iso.S % iso_json["S_lower_bound"] == 0
+        constructed = full_isometry_to_standard(complementary_form(q).qc.direct_sum(q))
+        assert iso.S <= constructed.S, cs
+
+
+def _reject_constant(name):
+    raise ValueError("non-finite JSON constant %s" % name)
+
+
+_Z = st.integers(1, 30)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.tuples(_Z, _Z, _Z, _Z).filter(lambda zs: math.gcd(*zs) == 1))
+def test_random_forms_end_in_exact_reports(zs):
+    report = run_pipeline(DiagForm((zs[0], zs[1], zs[2], -zs[3])), 1.0)
+    doc = json.loads(report.json_str(), parse_constant=_reject_constant)
+    jsonschema.validate(instance=doc, schema=REPORT_SCHEMA)
+    iso = doc["isometry"]
+    source = [Fraction(c) for c in iso["source"]]
+    assert source == [Fraction(c) for c in doc["complement"]["qc"] + doc["complement"]["q"]]
+    p = [[Fraction(x) for x in row] for row in iso["P"]]
+    for i in range(7):
+        for j in range(7):
+            entry = sum(source[k] * p[k][i] * p[k][j] for k in range(7))
+            assert entry == ((1 if i < 6 else -1) if i == j else 0)
+    assert iso["S"] == math.lcm(*(x.denominator for row in p for x in row))
+    assert iso["S"] % iso["S_lower_bound"] == 0
