@@ -483,16 +483,12 @@ def complement_isometry_stage(q: DiagForm) -> tuple[dict, dict, ComplementWitnes
     """The complement of q, its isometry, and their report blocks.
 
     The searched complements (complement.search_complements) are
-    confirmed by verify_complement, then descended in rank order under
-    the first budget of DESCENT_MAX_COEFFS (_best_descent); when none
-    finishes, the candidates are descended again under the next budget.
-    When no candidate finishes under any of them, the construction runs
-    without a budget.
+    descended in rank order under the first budget of
+    DESCENT_MAX_COEFFS (_best_descent); when none finishes, they are
+    descended again under the next budget.  When no candidate finishes
+    under any of them, the construction runs without a budget.
     """
     candidates = _stage("complement", search_complements, q)
-    for w in candidates:
-        if not verify_complement(q, w.qc):
-            raise RuntimeError("searched complement %s failed verification for %s" % (w.qc, q))
     best, tried = None, 0
     for max_coeff in DESCENT_MAX_COEFFS if candidates else ():
         best, n = _best_descent(q, candidates, max_coeff)
@@ -513,6 +509,7 @@ def _best_descent(q, candidates, max_coeff):
     """The candidate and isometry with the smallest S among the descents
     that finish under max_coeff, or None, and the number of descents run.
 
+    Each candidate is confirmed by verify_complement before its descent.
     A descent that exhausts the budget means "try the next candidate".
     The descents stop after FINISHED_DESCENTS finished ones, or once the
     best S is at most twice the next candidate's lower bound rad(det g7).
@@ -522,6 +519,8 @@ def _best_descent(q, candidates, max_coeff):
         g7 = w.qc.direct_sum(q)
         if best is not None and (finished == FINISHED_DESCENTS or best[1].S <= 2 * det_radical(g7)):
             break
+        if not verify_complement(q, w.qc):
+            raise RuntimeError("searched complement %s failed verification for %s" % (w.qc, q))
         tried += 1
         try:
             iso = full_isometry_to_standard(g7, max_coeff=max_coeff)
