@@ -843,8 +843,11 @@ def full_isometry_to_standard(g7: DiagForm, max_coeff: int | None = None) -> Iso
 
     With max_coeff set, a round that leaves a coefficient above it in
     absolute value ends the descent with BudgetExhausted.  S is checked
-    to be a multiple of rad(det g7), which divides the denominator of
-    every isometry onto the target (forms.det_radical).
+    to be a multiple of rad(det g7) (forms.det_radical), which divides
+    the denominator of every isometry onto the target: P's columns span
+    a unimodular lattice, which lies in Z_p^7 when p does not divide S,
+    and an integral lattice containing a unimodular one equals it, so p
+    does not divide det g7.
     """
     n = 7
     target = standard_lorentzian(6)

@@ -490,12 +490,12 @@ def complement_isometry_stage(q: DiagForm) -> tuple[dict, dict, ComplementWitnes
     """
     candidates = _stage("complement", search_complements, q)
     best, tried = None, 0
-    for max_coeff in DESCENT_MAX_COEFFS if candidates else ():
+    for max_coeff in DESCENT_MAX_COEFFS:
         best, n = _best_descent(q, candidates, max_coeff)
         tried += n
         if best is not None:
             break
-    else:
+    if best is None:
         w = _stage("complement", complementary_form, q)
         best = (w, _stage("isometry", full_isometry_to_standard, w.qc.direct_sum(q)))
     witness, iso = best

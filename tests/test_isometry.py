@@ -294,6 +294,15 @@ def test_final_check_survives_optimize_flag():
     assert proc.stdout == b"RuntimeError: final congruence check failed\n"
 
 
+def test_full_isometry_checks_S_against_lower_bound(monkeypatch):
+    # rad(det g7) divides S for every isometry; the check must raise, not assert
+    from qfbounds import isometry
+
+    monkeypatch.setattr(isometry, "det_radical", lambda g: 1_000_000_007)
+    with pytest.raises(RuntimeError, match="is not a multiple of rad"):
+        full_isometry_to_standard(DiagForm((1, 1, 7, 1, 1, 1, -7)))
+
+
 def test_verify_isometry_basics():
     ident = [[Fraction(1 if i == j else 0) for j in range(7)] for i in range(7)]
     assert verify_isometry(ident, Q61, Q61)

@@ -344,6 +344,15 @@ def test_cli_invariants_human(capsys):
 def test_cli_complement(capsys):
     code, out, _ = run_cli(capsys, ["complement", "1,1,1,7"])
     assert code == 0
+    assert "strategy    search (1 candidate descents tried)" in out
+    assert "verified    True" in out
+
+
+def test_cli_complement_construction(capsys):
+    # 1000003 exceeds the largest sum searched
+    code, out, _ = run_cli(capsys, ["complement", "1,1,1,1000003"])
+    assert code == 0
+    assert "strategy    construction: d = 1000003, c = 2, x = " in out
     assert "verified    True" in out
 
 
@@ -657,6 +666,24 @@ def test_descent_budget_stops_runaway_descent():
     with pytest.raises(BudgetExhausted):
         full_isometry_to_standard(g7, max_coeff=pipeline.DESCENT_MAX_COEFFS[0])
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "form, strategy, tried",
+    [
+        # every candidate passes 2^40; all finish under 2^80
+        ("2,19,19,-13", "search", 16),
+        # 1000003 exceeds the largest sum searched: no candidate at all
+        ("1,1,1,-1000003", "construction", 0),
+    ],
+)
+def test_complement_stage_fallbacks(form, strategy, tried):
+    comp, iso_json, witness, iso = pipeline.complement_isometry_stage(DiagForm.parse(form))
+    assert witness.strategy == comp["strategy"] == strategy
+    assert comp["candidates_tried"] == tried
+    assert (comp["c"] is None) == (strategy == "search")
+    assert iso.S % iso_json["S_lower_bound"] == 0
+    assert iso_json["log10_S_slack"] == pytest.approx(math.log10(iso.S / iso_json["S_lower_bound"]))
 
 
 def test_searched_S_at_most_constructed_on_corpus():
