@@ -269,10 +269,11 @@ def _search_targets(q: DiagForm) -> tuple[int, dict[int, int]]:
 def _hasse_witt_matches(targets: dict[int, int], a: int, b: int, c: int) -> bool:
     """Does <a, b, c> have q's Hasse-Witt symbol at every prime?
 
-    targets holds q's symbols at the primes of 2d; both symbols are 1
-    at every other prime not dividing a*b*c, and the primes of c are
-    among those of d*a*b.  An odd prime whose target is -1 must divide
-    a*b*c, which rules most triples out before any symbol is computed.
+    targets holds q's symbols at the primes of 2d.  At any other prime
+    q's symbol is 1, and so is that of <a, b, c> unless the prime
+    divides a*b*c, whose primes are among those of d*a*b.  An odd prime
+    whose target is -1 must divide a*b*c, which rules most triples out
+    before any symbol is computed.
     """
     if any(t == -1 and p != 2 and a % p and b % p and c % p for p, t in targets.items()):
         return False
