@@ -72,10 +72,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_complement(args) -> int:
     q = _parse_form(args.form)
     payload, _, w, _ = complement_isometry_stage(q)
-    if w.strategy == "search":
-        how = "search (%d candidate descents tried)" % payload["candidates_tried"]
-    else:
-        how = "construction: d = %d, c = %d, x = %d" % (w.d, w.c, w.x)
+    how = "search" if w.strategy == "search" else "construction: d = %d, c = %d, x = %d" % (w.d, w.c, w.x)
     lines = [
         "form        %s" % q,
         "strategy    %s" % how,

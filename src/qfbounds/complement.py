@@ -13,26 +13,19 @@ found by gcds.  The Hasse-Witt condition is then local: <a, b, c> must
 have q's symbol at every prime of 2*d*a*b*c (both are 1 elsewhere), and
 q's symbols are computed once per form.  The survivors are ranked by the
 proven lower bound rad(det(q_c + q)) on the isometry's denominator S,
-then by a + b + c.  Small complements keep det g7 small, so the
-descent needs little factoring and S stays near its lower bound; the
-published complements <2,5,10> and <1,1,7> are found this way.  The
-constants, with their reasons:
+then by a + b + c; the pipeline descends the first, whose S is that
+bound when q is squarefree.  The published complements <2,5,10> and
+<1,1,7> are found this way.  The constants, with their reasons:
 
-  SEARCH_KEEP = 8:  survivors kept.  The pipeline descends them in rank
-      order and usually stops after two finished descents, so eight
-      leave room for candidates whose descent exhausts its budget.
+  SEARCH_KEEP = 8:  survivors kept and ranked.  The first by a + b + c
+      need not have the smallest rad, and eight cost little.
   SEARCH_MAX_SUM = 2**14:  the largest a + b + c.  The windows double
       from 64 and each costs O(window) gcds.  A prime above it that
-      divides d to an odd power divides a coefficient of every triple,
-      and the construction runs instead.
-  pipeline.DESCENT_MAX_COEFFS, first entry 2**40:  a candidate's descent
-      stops once a coefficient passes it; the descents that run for
-      seconds to minutes pass it within a few rounds.  On forms where
-      every candidate passes it, the candidates are descended again
-      under its square, up to 2**320, before the construction runs.
-  pipeline.FINISHED_DESCENTS = 2:  finished descents after which the
-      candidates stop (or sooner, once the best S is at most twice the
-      next candidate's lower bound); later ones rarely do better.
+      divides d to an odd power divides a coefficient of every triple;
+      when the windows find nothing, the triples with a*b*c = D are
+      tried instead, one per split of the primes of D into three parts
+      (at most SEARCH_MAX_SUM splits, the windows' budget), and the
+      construction runs only when none of those fits either.
 
 Construction (complementary_form, the fallback that always succeeds):
 q_c = <x, c, c*d*x>, with the two parameters produced deterministically:
@@ -55,6 +48,7 @@ q_c = <x, c, c*d*x>, with the two parameters produced deterministically:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,14 +278,27 @@ def _hasse_witt_matches(targets: dict[int, int], a: int, b: int, c: int) -> bool
     )
 
 
+def _divisor_triples(D: int):
+    """The a <= b <= c with a*b*c = D squarefree, from the first
+    SEARCH_MAX_SUM splits of D's primes into three parts."""
+    ps, seen = _prime_list(D), set()
+    for parts in itertools.islice(itertools.product(range(3), repeat=len(ps)), SEARCH_MAX_SUM):
+        abc = tuple(sorted(math.prod(p for p, k in zip(ps, parts) if k == i) for i in range(3)))
+        if abc not in seen:
+            seen.add(abc)
+            yield abc
+
+
 def search_complements(q: DiagForm) -> list[ComplementWitness]:
     """Up to SEARCH_KEEP complements <a, b, c>, the first by increasing
     a + b + c to pass the local filter, ranked by the proven lower bound
     rad(det(qc + q)) on S and then by a + b + c.
 
-    Empty when no triple with a + b + c <= SEARCH_MAX_SUM passes.  The
-    filter is exact (see verify_complement), but each witness is still
-    confirmed by verify_complement before its descent.
+    When no triple with a + b + c <= SEARCH_MAX_SUM passes, the triples
+    with a*b*c = D are filtered and ranked the same way; empty when none
+    of those passes either.  The filter is exact (see
+    verify_complement), but the chosen witness is still confirmed by
+    verify_complement before its descent.
     """
     D, targets = _search_targets(q)
     d = abs(int(q.disc))
@@ -304,6 +311,9 @@ def search_complements(q: DiagForm) -> list[ComplementWitness]:
                 if len(found) == SEARCH_KEEP:
                     break
         lo, hi = hi, 2 * hi
+    if not found:
+        matches = (abc for abc in _divisor_triples(D) if _hasse_witt_matches(targets, *abc))
+        found = [DiagForm(abc) for abc in itertools.islice(matches, SEARCH_KEEP)]
     witnesses = [
         ComplementWitness(q=q, qc=qc, qc_raw=qc, c=None, x=None, d=d, strategy="search")
         for qc in found

@@ -5,14 +5,9 @@ trial-division factoring, a deterministic Miller-Rabin primality test,
 Legendre/Kronecker symbols, CRT lifting, prime searches in arithmetic
 progressions, and square-class utilities on Fractions.
 
-All functions are pure, with one scoped exception: inside a
-known_primes() block, factorize first divides out the large primes it
-has already found in that block, so a descent that keeps meeting the
-same prime splits it once.  The results are the same factorizations;
-only a cofactor that a light budget could not split alone may now
-split.  Sizes are desk scale: factoring is trial division over a cached
-sieve plus a deterministic Pollard-Brent split of the cofactor, which
-covers every integer this package produces.  One memo holds every
+All functions are pure.  Sizes are desk scale: factoring is trial
+division over a cached sieve plus a deterministic Pollard-Brent split
+of the cofactor, which covers every integer this package produces.  One memo holds every
 number and every cofactor piece factored, so a split, or a failed one,
 is not repeated while the memo holds it.  Nothing here is meant for
 cryptographic-size inputs.
@@ -20,8 +15,6 @@ cryptographic-size inputs.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import itertools
 import math
@@ -33,28 +26,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SIEVE_LIMIT = 1 << 16
 _sieve_cache: list[int] = []
 
-# large primes found so far in the innermost known_primes() block
-_known: contextvars.ContextVar[list[int] | None] = contextvars.ContextVar(
-    "known_primes", default=None
-)
-
 
 class BudgetExhausted(RuntimeError):
     """A cofactor resisted the Pollard-Brent splitting budget."""
-
-
-@contextlib.contextmanager
-def known_primes():
-    """Scope in which factorize remembers the large primes it finds.
-
-    Each block starts empty and is discarded on exit, exceptions
-    included, so results never depend on what ran before the block.
-    """
-    token = _known.set([])
-    try:
-        yield
-    finally:
-        _known.reset(token)
 
 
 def _small_primes() -> list[int]:
@@ -125,12 +99,11 @@ def _iroot(n: int, k: int) -> int:
 
 # per-attempt iteration budgets: quick passes first, deeper retries after
 _DEEP_CAPS = (1 << 21, 1 << 22, 1 << 23, 1 << 24, 1 << 24, 1 << 24)
-_LIGHT_CAPS = (1 << 17, 1 << 18)
 
 
-def _brent_split(n: int, caps=_DEEP_CAPS) -> int:
+def _brent_split(n: int) -> int:
     """Nontrivial factor of an odd composite n (deterministic Brent cycle)."""
-    for c, cap in enumerate(caps, start=1):
+    for c, cap in enumerate(_DEEP_CAPS, start=1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         count = 0
@@ -162,43 +135,27 @@ def _brent_split(n: int, caps=_DEEP_CAPS) -> int:
     raise BudgetExhausted("cannot factor cofactor %d" % n)
 
 
-def factorize(n: int, caps=_DEEP_CAPS) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Factor n >= 1 into a sorted list of (prime, exponent) pairs.
 
     Trial division over a cached prime sieve, then a deterministic
     Pollard-Brent split of whatever cofactor remains (with perfect-power
     detection).  BudgetExhausted is raised if the cofactor resists the
     splitting budget, which does not occur at the sizes this package
-    produces; callers that can tolerate failure may pass smaller caps.
-    Results are memoized, and so is every hard cofactor and Pollard-Brent
-    piece, so a composite met inside many numbers costs one split; an
-    exhausted budget is remembered as well.  Inside a
-    known_primes() block the primes found earlier in the block are
-    divided out first and every new prime above the sieve is added, so
-    only the rest goes to the memoized search.
+    produces.  Results are memoized, and so is every hard cofactor and
+    Pollard-Brent piece, so a composite met inside many numbers costs
+    one split; an exhausted budget is remembered as well.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1, got %r" % (n,))
-    known = _known.get()
-    out: dict[int, int] = {}
-    rest = n
-    for p in known or ():
-        while rest % p == 0:
-            rest //= p
-            out[p] = out.get(p, 0) + 1
-    res = _factorize_cached(rest, caps)
+    res = _factorize_cached(n)
     if res is None:
         raise BudgetExhausted("cannot factor a cofactor of %d" % n)
-    if known is not None:
-        known.extend(p for p, _ in res if p >= _SIEVE_LIMIT)
-    out.update(res)
-    return sorted(out.items())
+    return list(res)
 
 
 @functools.lru_cache(maxsize=1 << 15)
-def _factorize_cached(n: int, caps) -> tuple | None:
-    if n < 1:
-        raise ValueError("factorize expects n >= 1, got %r" % (n,))
+def _factorize_cached(n: int) -> tuple | None:
     out: dict[int, int] = {}
     rest = n
     for p in _small_primes():
@@ -226,12 +183,12 @@ def _factorize_cached(n: int, caps) -> tuple | None:
                 break
         else:
             try:
-                d = _brent_split(n, caps)
+                d = _brent_split(n)
             except BudgetExhausted:
                 return None
             pieces = [(d, 1), (n // d, 1)]
     for m, k in pieces:
-        res = _factorize_cached(m, caps)
+        res = _factorize_cached(m)
         if res is None:
             return None
         for p, e in res:
@@ -264,62 +221,6 @@ def squarefree_part(r) -> tuple[int, Fraction]:
     if s * t * t != r:
         raise RuntimeError("squarefree split %d * (%s)^2 is not %s" % (s, t, r))
     return s, t
-
-
-def partial_squarefree(n: int) -> tuple[int, int]:
-    """Best-effort split n = s * t**2 over the integers, t > 0.
-
-    Extracts square factors supported on the sieved primes, then tries to
-    finish the job on the cofactor with the bounded splitting budget of
-    factorize.  The result always satisfies n == s * t * t; s is
-    squarefree unless the cofactor resists that budget.  Used to keep
-    intermediate form coefficients small.
-    """
-    if n == 0:
-        raise ValueError("partial_squarefree of zero is undefined")
-    sign = -1 if n < 0 else 1
-    rest = abs(n)
-    s, t = sign, 1
-    for p in _small_primes():
-        if p * p > rest:
-            break
-        if rest % p:
-            continue
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if e % 2:
-            s *= p
-        t *= p ** (e // 2)
-    if rest > 1:
-        # folding here is best-effort: past 80 bits a hard cofactor gets
-        # only a light splitting budget before being passed through
-        caps = _DEEP_CAPS if rest.bit_length() <= 80 else _LIGHT_CAPS
-        try:
-            for p, e in factorize(rest, caps):
-                if e % 2:
-                    s *= p
-                t *= p ** (e // 2)
-            rest = 1
-        except BudgetExhausted:
-            pass
-        if rest > 1:
-            r = math.isqrt(rest)
-            if r * r == rest:
-                t *= r
-            else:
-                s *= rest
-    if s * t * t != n:
-        raise RuntimeError("square split %d * %d^2 is not %d" % (s, t, n))
-    return s, t
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def rational_sqrt(r) -> Fraction | None:

@@ -1,39 +1,46 @@
 """Explicit rational isometries onto the standard Lorentzian form.
 
-The driver takes an integral diagonal form of signature (6, 1) that is
-rationally isometric to <1,1,1,1,1,1,-1> and produces an exact rational
-change of basis P with P^t A P = diag(1,...,1,-1), together with the
-lcm S of the denominators of P and the index bounds S**42 and
+The driver takes an integral diagonal form g7 of signature (6, 1) that
+is rationally isometric to <1,1,1,1,1,1,-1> and produces an exact
+rational change of basis P with P^t A P = diag(1,...,1,-1), together
+with the lcm S of the denominators of P and the index bounds S**42 and
 (S**2)**42 derived from it (both conventions are reported).
 
-One reduction round works on an integral diagonal form g:
+P's columns are a basis of a unimodular lattice L, and S is the least
+integer with S L in Z^7, so S depends on L alone.  Following D. Simon,
+"Solving quadratic equations using reduced unimodular quadratic forms"
+(Math. Comp. 74, 2005), the descent fixes L first and then only changes
+its basis:
 
-  step 0  find x with g(x) = 1.  If some coefficient equals 1 take a
-          standard basis vector, otherwise search g (+) <-1> for an
-          isotropic vector y within the Cassels bound
-          (3 * sum|a_i|)**((m-1)/2) and convert:
-            y_{n+1} != 0:  x = (y_1, ..., y_n) / y_{n+1}
-            y_{n+1} == 0:  x = e_i + y * (1 - a_i) / (2 a_i y_i)
-  step 1  extend x by a primitive integral basis of x-perp into P1;
-          Z = P1^t A P1 then has first row and column (1, 0, ..., 0)
-          and integral remainder.
-  step 2  diagonalize Z by its LDL^t factorization Z = mu diag(d) mu^t
-          (forms.ldl): w_k = (row k of mu^{-1}) / d_k solves
-          Z_kk w_k = (0,...,0,1)^t; clearing denominators columnwise and
-          fixing signs gives an integral upper-triangular P2P3 and an
-          integral diagonal form with leading coefficient 1.
+  step 1  fix L.  Each coefficient a_i = s_i t_i**2 is square-reduced
+          by scaling its column by 1/t_i, so every s_i is squarefree.
+          det g7 is -1 times a square, so every prime p divides an even
+          number 2k of the s_i.  For odd p the units s_i/p of that block
+          span a quadratic space over F_p that is split: g7 has the
+          Hasse-Witt invariant of a unimodular form at p, so the block
+          has trivial second residue.  A Lagrangian basis of it, lifted
+          to integers and divided by p, adds k vectors.  For p = 2 the
+          vectors (e_i + e_j)/2 over disjoint pairs of the even s_i are
+          added.  The lattice L these span with Z^7 is integral and its
+          Gram matrix has det -1.  Only the coefficients of g7 are
+          factored.
+  step 2  reduce the basis.  L is odd, unimodular and indefinite, hence
+          isometric to I_{6,1}.  Vectors v with Q(v) = +-1 are split off
+          one at a time, the rest of the basis being projected onto
+          v-perp.  v is a basis vector of norm +-1 when there is one,
+          else one of the basis after an indefinite LLL, else it is
+          built from an isotropic vector that LLL meets (a zero pivot)
+          and a w with B(v, w) = 1.  A rank-2 remainder that is the even
+          plane H is re-split together with an earlier unit vector u as
+          u + h1 - h2.  Every move is integral and unimodular, so S is
+          the one step 1 fixed.
 
-When a leading principal minor of Z vanishes (a zero ldl pivot) the
-basis of x-perp is repaired by the smallest transposition, or failing
-that by adding one basis vector to another (a vanishing minor can be
-unfixable by transpositions alone, e.g. a hyperbolic 2 x 2 block).
-
-The full driver interleaves reduction rounds with two normalizations:
-coefficients are reduced by square factors (a column scaling), and
-coefficients equal to +1 / -1 are moved out of the active block (Witt
-cancellation against the target).  Both keep every intermediate step
-exactly verified; the final matrix is checked against the target form
-before a witness is returned.
+When g7 is squarefree, Z^7 lies in L and L in (1/r) Z^7 for r =
+rad(det g7), and L meets 1/p for every p | r, so S = r.  That is the
+least S any isometry can have: P's columns span a unimodular lattice,
+which lies in Z_p^7 when p does not divide S, and an integral lattice
+containing a unimodular one equals it, so p does not divide det g7.
+Both facts are checked on every result, and so is P itself.
 """
 
 from __future__ import annotations
@@ -43,28 +50,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    BudgetExhausted,
-    crt_solve,
-    factorize,
-    is_perfect_square,
-    known_primes,
-    kronecker_symbol,
-    partial_squarefree,
-    primes_in_ap,
-    smallest_nonresidue_prime,
-    squarefree_part,
-)
-from .forms import (
-    DiagForm,
-    _isotropic_at,
-    det_radical,
-    is_isometric_Q,
-    is_isotropic_Q,
-    ldl,
-    standard_lorentzian,
-    unit_lower_inverse,
-)
+from .exact import factorize, kronecker_symbol, smallest_nonresidue_prime, squarefree_part
+from .forms import DiagForm, det_radical, is_isometric_Q, ldl, standard_lorentzian, unit_lower_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -96,121 +83,7 @@ def mat_denominator_lcm(p) -> int:
 
 
 # ---------------------------------------------------------------------------
-# explicit growth bounds
-
-
-def _ceil_sqrt(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
-
-
-def bound_E(g: DiagForm) -> int:
-    """Denominator bound 2 max|a_i| (3 sum|a_i| + 3)**(n/2) for one round.
-
-    Half-integer powers are rounded up, so the result is always a valid
-    integer upper bound.
-    """
-    cs = g.int_coeffs()
-    n = len(cs)
-    sigma = sum(abs(c) for c in cs)
-    base = 3 * sigma + 3
-    if n % 2 == 0:
-        pw = base ** (n // 2)
-    else:
-        pw = _ceil_sqrt(base ** n)
-    return 2 * max(abs(c) for c in cs) * pw
-
-
-def cassels_bound(g: DiagForm) -> int:
-    """Integer ceiling of (3 sum|a_i|)**((m-1)/2)."""
-    cs = g.int_coeffs()
-    m = len(cs)
-    base = 3 * sum(abs(c) for c in cs)
-    if (m - 1) % 2 == 0:
-        return base ** ((m - 1) // 2)
-    return _ceil_sqrt(base ** (m - 1))
-
-
-# ---------------------------------------------------------------------------
-# isotropic vectors
-
-
-def _pair_shortcut(cs):
-    """Isotropic vector supported on two coordinates, when one exists.
-
-    For a_i > 0 > a_j with a_i/g and |a_j|/g both perfect squares
-    (g = gcd), (..., sqrt(|a_j|/g), ..., sqrt(a_i/g), ...) is a zero of
-    max-norm at most sqrt(sum|a|), well inside the Cassels bound.
-    """
-    m = len(cs)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if cs[i] * cs[j] >= 0:
-                continue
-            g = math.gcd(abs(cs[i]), abs(cs[j]))
-            u, v = abs(cs[j]) // g, abs(cs[i]) // g
-            if is_perfect_square(u) and is_perfect_square(v):
-                y = [0] * m
-                y[i], y[j] = math.isqrt(u), math.isqrt(v)
-                return tuple(y)
-    return None
-
-
-def _shell_first_zero(cs, n_norm):
-    """First zero with max-norm exactly n_norm, coordinates ordered 0,1,-1,2,-2,...
-
-    A sign flip of any coordinate maps zeros to zeros and k comes before
-    -k, so that first zero is nonnegative: only 0, 1, ..., n_norm are tried.
-    """
-    m = len(cs)
-    nn = n_norm * n_norm
-    pos_suf = [0] * (m + 1)
-    neg_suf = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        c = cs[i]
-        pos_suf[i] = pos_suf[i + 1] + (c if c > 0 else 0) * nn
-        neg_suf[i] = neg_suf[i + 1] + (-c if c < 0 else 0) * nn
-    vec = [0] * m
-
-    def rec(i, val, hit):
-        if val - neg_suf[i] > 0 or val + pos_suf[i] < 0:
-            return False
-        if i == m - 1:
-            c = cs[i]
-            t = -val
-            if t % c:
-                return False
-            q = t // c
-            if q < 0 or not is_perfect_square(q):
-                return False
-            r = math.isqrt(q)
-            if r > n_norm or (not hit and r != n_norm):
-                return False
-            if r == 0 and not hit:
-                return False
-            vec[i] = r
-            return True
-        c = cs[i]
-        for y in range(n_norm + 1):
-            vec[i] = y
-            if rec(i + 1, val + c * y * y, hit or y == n_norm):
-                return True
-        return False
-
-    return tuple(vec) if rec(0, 0, False) else None
-
-
-# ---------------------------------------------------------------------------
-# descent solver: isotropic vectors beyond the bounded search
-#
-# Residual forms produced by the reduction rounds carry coefficients far
-# too large for shell enumeration.  For those the isotropic vector is
-# built exactly: a ternary form is solved by the classical congruence
-# lattice for the Legendre equation (a zero exists within the Holzer
-# radius 3|abc|), and higher ranks split off a mixed-sign pair against a
-# common represented value assembled from local square-class targets,
-# one auxiliary prime in a prescribed progression, and a sign.  Hilbert
-# reciprocity makes the auxiliary place come out right on its own.
+# step 1: the unimodular lattice
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int:
@@ -241,190 +114,123 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return min(r, p - r)
 
 
-def _ternary_reduce(a: int, b: int, c: int):
-    """Equivalent squarefree pairwise-coprime triple plus coordinate scales.
+def _lagrangian(units, p):
+    """k vectors spanning a totally isotropic subspace of <units> over
+    F_p, for an odd prime p and 2k units that form a split space.
 
-    Returns (triple, scales) with scales rational: a solution (X, Y, Z)
-    of the reduced triple pulls back to (s_1 X, s_2 Y, s_3 Z).
+    The space is kept as an orthogonal basis.  Any three of its vectors
+    span a plane <a, b, c> with an isotropic vector z = (x, y, 1); z joins
+    the Lagrangian and the three are replaced by one vector of z-perp
+    outside span(z), which is orthogonal to z and to the rest.  The last
+    two must be split, and are exactly when the whole space is.
     """
-    cs = [a, b, c]
-    sc = [Fraction(1)] * 3
-    g = math.gcd(*(abs(x) for x in cs))
-    cs = [x // g for x in cs]
-    while True:
-        for i in range(3):
-            s, t = squarefree_part(cs[i])
-            if t != 1:
-                cs[i] = s
-                sc[i] /= t
-        peeled = False
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            g = math.gcd(abs(cs[i]), abs(cs[j]))
-            if g > 1:
-                k = 3 - i - j
-                cs[i] //= g
-                cs[j] //= g
-                cs[k] *= g
-                sc[k] *= g
-                peeled = True
-                break
-        if not peeled:
-            return tuple(cs), sc
+    n = len(units)
+    basis = [([int(i == j) for j in range(n)], u % p) for i, u in enumerate(units)]
 
-
-def _impose_congruence(basis, l, p):
-    """Shrink a column basis of Z^3 to the sublattice with l.v = 0 mod p."""
-    vals = [sum(li * bi for li, bi in zip(l, col)) % p for col in basis]
-    piv = next((k for k, v in enumerate(vals) if v), None)
-    if piv is None:
-        return
-    inv = pow(vals[piv], -1, p)
-    for k in range(3):
-        if k != piv and vals[k]:
-            f = vals[k] * inv % p
-            basis[k] = [x - f * y for x, y in zip(basis[k], basis[piv])]
-    basis[piv] = [p * x for x in basis[piv]]
-
-
-def _short_vectors3(w, basis, radius):
-    """All nonzero lattice vectors v (up to sign) with sum w_i v_i^2 <= radius."""
-    mu, d = ldl(gram_matrix(w, basis))
-
-    def bounds(limit, center, weight):
-        # integer m with weight*(m+center)^2 <= limit
-        if limit < 0:
-            return range(0)
-        r = limit / weight
-        s = math.isqrt(r.numerator * r.denominator) // r.denominator
-        while (s + 1) ** 2 <= r:
-            s += 1
-        lo = math.ceil(-center - s)
-        hi = math.floor(-center + s)
-        return range(lo, hi + 1)
+    def mix(coeffs, vecs):
+        return [sum(k * v[i] for k, v in zip(coeffs, vecs)) % p for i in range(n)]
 
     out = []
-    for m2 in bounds(Fraction(radius), Fraction(0), d[2]):
-        rem1 = Fraction(radius) - d[2] * m2 * m2
-        c1 = mu[2][1] * m2
-        for m1 in bounds(rem1, c1, d[1]):
-            rem0 = rem1 - d[1] * (m1 + c1) ** 2
-            c0 = mu[1][0] * m1 + mu[2][0] * m2
-            for m0 in bounds(rem0, c0, d[0]):
-                if m0 == m1 == m2 == 0:
-                    continue
-                if m2 < 0 or (m2 == 0 and (m1 < 0 or (m1 == 0 and m0 < 0))):
-                    continue
-                v = tuple(
-                    m0 * basis[0][r] + m1 * basis[1][r] + m2 * basis[2][r]
-                    for r in range(3)
-                )
-                out.append(v)
-    return out
+    while len(basis) > 2:
+        (e, a), (f, b), (g, c) = basis[:3]
+        x = next(x for x in range(p) if kronecker_symbol(-(c + a * x * x) * b, p) >= 0)
+        y = _sqrt_mod_prime(-(c + a * x * x) * pow(b, -1, p), p)
+        # three vectors of z-perp; one lies outside span(z)
+        perp = [(b * y, -a * x, 0), (c, 0, -a * x), (0, c, -b * y)]
+        w = next(w for w in perp if (a * w[0] ** 2 + b * w[1] ** 2 + c * w[2] ** 2) % p)
+        out.append(mix((x, y, 1), (e, f, g)))
+        basis = [(mix(w, (e, f, g)), (a * w[0] ** 2 + b * w[1] ** 2 + c * w[2] ** 2) % p)] + basis[3:]
+    (e, a), (f, b) = basis
+    if kronecker_symbol(-a * b, p) != 1:
+        raise RuntimeError("the %d-block of the form is not split" % p)
+    out.append(mix((1, _sqrt_mod_prime(-a * pow(b, -1, p), p)), (e, f)))
+    # lift to the residues of least absolute value
+    return [[t - p if 2 * t > p else t for t in v] for v in out]
 
 
-def _legendre_zero(cs):
-    """Primitive zero of a squarefree pairwise-coprime mixed-sign ternary.
-
-    Builds, per sign pattern of the modular square roots, the index
-    |abc| sublattice of Z^3 on which the form vanishes mod abc,
-    LLL-reduces it under diag(|a|, |b|, |c|) and enumerates it to the
-    Holzer radius.  The first pattern that contains a zero wins; within
-    a pattern the smallest zero is returned.
-    """
-    a, b, c = cs
-    d = abs(a * b * c)
-    w = tuple(abs(x) for x in cs)
-    fixed, signed = [], []
-    for pos, (coef, m1, m2) in enumerate(((a, b, c), (b, a, c), (c, a, b))):
-        target = -m1 * m2
-        for p, _ in factorize(abs(coef)):
-            r = _sqrt_mod_prime(target % p, p)
-            # condition rows: p|a: (0, b, -r); p|b: (a, 0, -r); p|c: (a, -r, 0)
-            if pos == 0:
-                plus, minus = [0, b % p, (-r) % p], [0, b % p, r % p]
-            elif pos == 1:
-                plus, minus = [a % p, 0, (-r) % p], [a % p, 0, r % p]
-            else:
-                plus, minus = [a % p, (-r) % p, 0], [a % p, r % p, 0]
-            if p == 2 or r == 0:
-                fixed.append((p, plus))
-            else:
-                signed.append((p, plus, minus))
-    if len(signed) > 18:
-        raise RuntimeError("too many sign patterns for the lattice search")
-    radius = 3 * d
-    n_free = max(len(signed) - 1, 0)
-    for bits in itertools.product((0, 1), repeat=n_free):
-        basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        for p, row in fixed:
-            _impose_congruence(basis, row, p)
-        for k, (p, plus, minus) in enumerate(signed):
-            pick = plus if k == 0 or bits[k - 1] == 0 else minus
-            _impose_congruence(basis, pick, p)
-        basis = _lll_columns(w, basis)
-        zeros = [
-            v
-            for v in _short_vectors3(w, basis, radius)
-            if a * v[0] ** 2 + b * v[1] ** 2 + c * v[2] ** 2 == 0
-        ]
-        if zeros:
-            best = min(zeros, key=lambda v: (max(abs(x) for x in v), v))
-            return best
-    raise RuntimeError("lattice search found no zero of %s" % (cs,))
+def _echelon_basis(vectors, n):
+    """A basis in echelon form of the lattice spanned by integer vectors
+    of length n (full rank n), by Euclid on each coordinate in turn."""
+    rows, basis = [list(v) for v in vectors], []
+    for c in range(n):
+        piv = [r for r in rows if r[c]]
+        rows = [r for r in rows if not r[c]]
+        while len(piv) > 1:
+            piv.sort(key=lambda r: abs(r[c]))
+            head, rest = piv[0], []
+            for r in piv[1:]:
+                q = r[c] // head[c]
+                r = [x - q * y for x, y in zip(r, head)]
+                (rest if r[c] else rows).append(r)
+            piv = [head] + rest
+        if not piv:
+            raise RuntimeError("the lattice generators do not have full rank")
+        basis.append(piv[0])
+    return basis
 
 
-def _shrink_zero(cs, y):
-    """Shrink a zero of the diagonal form by quadric reflections.
+def _unimodular_lattice(s, steps):
+    """Columns of a basis of the lattice L of step 1, in the coordinates
+    where the form is diag(s) with every s_i squarefree."""
+    n = len(s)
+    primes = sorted({p for c in s for p, _ in factorize(abs(c))})
+    gens = []
+    for p in primes:
+        block = [i for i in range(n) if s[i] % p == 0]
+        if len(block) % 2:
+            raise RuntimeError("%d divides an odd number of the coefficients %s" % (p, s))
+        if p == 2:
+            vecs = [[1, 1]] * (len(block) // 2)
+            blocks = [block[i : i + 2] for i in range(0, len(block), 2)]
+        else:
+            vecs = _lagrangian([s[i] // p for i in block], p)
+            blocks = [block] * len(vecs)
+        for v, idx in zip(vecs, blocks):
+            col = [Fraction(0)] * n
+            for i, t in zip(idx, v):
+                col[i] = Fraction(t, p)
+            gens.append(col)
+        steps.append({"prime": p, "vectors": len(vecs)})
+    N = math.prod(primes)
+    ints = [[N * int(i == j) for i in range(n)] for j in range(n)]
+    ints += [[int(N * t) for t in col] for col in gens]
+    cols = [[Fraction(t, N) for t in v] for v in _echelon_basis(ints, n)]
+    g = gram_matrix(s, cols)
+    # the basis is triangular: det Gram = (prod of its diagonal)**2 * prod(s)
+    det = math.prod(cols[j][j] for j in range(n)) ** 2 * math.prod(s)
+    if det != -1 or any(x.denominator != 1 for row in g for x in row):
+        raise RuntimeError("the lattice of step 1 is not integral with det -1 (det %s)" % det)
+    return cols
 
-    For any u the vector Q(u) y - 2 B(y, u) u is again a zero; stepping
-    greedily through u of support two drives the max-norm down from the
-    large zeros the descent produces while keeping exactness.
-    """
-    n = len(cs)
-    y = list(_normalize_zero(cs, y))
-    pairs = [
-        (i, j, s) for i in range(n) for j in range(i + 1, n) for s in (1, -1)
-    ]
-    for _ in range(3_000):
-        cur = max(abs(t) for t in y)
-        best = None
-        for i, j, s in pairs:
-            qu = cs[i] + cs[j]
-            if qu == 0:
-                continue
-            by = cs[i] * y[i] + s * cs[j] * y[j]
-            cand = [qu * t for t in y]
-            cand[i] -= 2 * by
-            cand[j] -= 2 * s * by
-            if not any(cand):
-                continue
-            cand = _normalize_zero(cs, cand)
-            m = max(abs(t) for t in cand)
-            if m < cur and (best is None or (m, cand) < best):
-                best = (m, cand)
-        if best is None:
-            break
-        y = list(best[1])
-    return tuple(y)
+
+# ---------------------------------------------------------------------------
+# step 2: unit vectors of the unimodular lattice
 
 
 def _lll_columns(weights, cols):
-    """LLL-reduce integral columns for the definite form sum w_i x_i^2.
+    """Indefinite LLL of the columns under the form sum w_i x_i^2.
 
-    Keeps the spanned lattice and returns columns that are size-reduced
-    (every |mu_ij| <= 1/2) and meet the Lovasz condition with 3/4.  The
-    Gram-Schmidt data is the exact ldl of the gram_matrix, computed once
-    and then updated in place: a size reduction b_k -= q b_j updates row
-    k of mu (mu_kj -= q, mu_ki -= q mu_ji for i < j) and leaves the norms
-    as they are, and a swap applies the exact LLL swap formulas.
+    Keeps the spanned lattice and returns (b, y).  The columns b are
+    size-reduced (every |mu_ij| <= 1/2) and meet the Lovasz condition
+    |d_k + mu_k,k-1^2 d_k-1| >= 3/4 |d_k-1|, which for positive weights
+    is the usual one.  The Gram-Schmidt data is the exact ldl of the
+    gram_matrix, computed once and then updated in place: a size
+    reduction b_k -= q b_j updates row k of mu (mu_kj -= q, mu_ki -= q
+    mu_ji for i < j) and leaves the norms as they are, and a swap
+    applies the exact LLL swap formulas.  When a leading minor vanishes
+    (a zero pivot, only possible for an indefinite form) the reduction
+    stops there and y holds the integer coordinates, in b, of a
+    primitive isotropic vector; otherwise y is None.
     """
     b = [list(col) for col in cols]
     n = len(b)
-    if n < 2:
-        return b
     mu, norms = ldl(gram_matrix(weights, b))
+    if norms[-1] == 0:
+        return b, _isotropic_coords(mu, n)
     k = 1
     for _ in range(100_000):
+        if k >= n:
+            return b, None
         for j in range(k - 1, -1, -1):
             f = mu[k][j]
             q = (2 * f.numerator + f.denominator) // (2 * f.denominator)
@@ -432,14 +238,16 @@ def _lll_columns(weights, cols):
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 # mu[j] is 1 at j and 0 past it
                 mu[k] = [x - q * y for x, y in zip(mu[k], mu[j])]
-        if norms[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+        m = mu[k][k - 1]
+        if abs(norms[k] + m * m * norms[k - 1]) < Fraction(3, 4) * abs(norms[k - 1]):
             b[k], b[k - 1] = b[k - 1], b[k]
+            if norms[k] + m * m * norms[k - 1] == 0:
+                mu, norms = ldl(gram_matrix(weights, b))
+                return b, _isotropic_coords(mu, n)
             _swap_gram_schmidt(mu, norms, k)
             k = max(k - 1, 1)
         else:
             k += 1
-            if k == n:
-                return b
     raise RuntimeError("lattice reduction did not terminate")
 
 
@@ -457,343 +265,144 @@ def _swap_gram_schmidt(mu, norms, k):
         row[k - 1] = t + mu[k][k - 1] * row[k]
 
 
-def _normalize_zero(cs, num):
-    """Clear rational coordinates to a primitive sign-normalized zero."""
-    fr = [Fraction(x) for x in num]
-    lc = math.lcm(*(f.denominator for f in fr))
-    v = [int(f * lc) for f in fr]
-    g = math.gcd(*(abs(x) for x in v))
-    v = [x // g for x in v]
-    lead = next(x for x in v if x)
-    if lead < 0:
-        v = [-x for x in v]
-    if sum(c * x * x for c, x in zip(cs, v)) != 0:
-        raise RuntimeError("not a zero of %s: %s" % (cs, v))
-    return tuple(v)
+def _isotropic_coords(mu, n):
+    """Primitive integer coordinates of the last Gram-Schmidt vector of
+    an ldl that ended in a zero pivot: it is orthogonal to the columns
+    before it and to itself.  Padded with zeros to length n."""
+    row = unit_lower_inverse(mu)[-1]
+    den = math.lcm(*(Fraction(t).denominator for t in row))
+    y = [int(t * den) for t in row]
+    g = math.gcd(*y)
+    return [t // g for t in y] + [0] * (n - len(y))
 
 
-def _ternary_zero(a, b, c):
-    """Primitive zero of an isotropic integral ternary form."""
-    cs = (a, b, c)
-    y = _pair_shortcut(cs)
-    if y is not None:
-        return y
-    for n_norm in range(1, 7):
-        y = _shell_first_zero(cs, n_norm)
-        if y is not None:
-            return y
-    red, scales = _ternary_reduce(a, b, c)
-    z = _pair_shortcut(red) or _legendre_zero(red)
-    return _shrink_zero(cs, [s * x for s, x in zip(scales, z)])
+def _bilinear(s, u, v):
+    return sum(c * x * y for c, x, y in zip(s, u, v))
 
 
-def _represents_locally(cs, t, v) -> bool:
-    """Does the diagonal form represent the nonzero value t over Q_v?
+def _norm(g, x):
+    return sum(x[i] * g[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
 
-    It does exactly when <cs, -t> is isotropic over Q_v.
+
+def _unit_index(g):
+    """Coordinates of the first basis vector of norm +-1, or None."""
+    n = len(g)
+    return next(([int(i == j) for i in range(n)] for j in range(n) if g[j][j] in (1, -1)), None)
+
+
+def _xgcd(a, b):
+    """(d, x, y) with d = gcd(a, b) = a x + b y, d >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _dual(g, y):
+    """Integer coordinates of a w with B(y, w) = 1, by the extended gcd
+    of the B(y, b_j): they are coprime when y is primitive and the
+    Gram matrix g is unimodular."""
+    bv = [sum(g[j][i] * t for i, t in enumerate(y)) for j in range(len(g))]
+    w, acc = [0] * len(g), 0
+    for j, v in enumerate(bv):
+        if v:
+            acc, a, c = _xgcd(acc, v)
+            w = [a * t for t in w]
+            w[j] += c
+    if acc != 1:
+        raise RuntimeError("isotropic vector %s is not primitive" % y)
+    return w
+
+
+def _unit_from_isotropic(g, y):
+    """Coordinates of a vector of norm +-1 built from the primitive
+    isotropic vector with coordinates y, or None when every basis
+    vector has even norm (the lattice is even).
+
+    w = _dual(g, y) has B(y, w) = 1.  If Q(w) is even, (1 - B(y, b)) w + b
+    for a basis vector b of odd norm still pairs to 1 with y and has odd
+    norm.  Then w + t y has norm Q(w) + 2t = +-1 for one t.
     """
-    return _isotropic_at(DiagForm(tuple(cs) + (-t,)), v)
+    w = _dual(g, y)
+    if _norm(g, w) % 2 == 0:
+        odd = next((j for j in range(len(g)) if g[j][j] % 2), None)
+        if odd is None:
+            return None
+        pair = sum(g[odd][i] * t for i, t in enumerate(y))
+        w = [(1 - pair) * t for t in w]
+        w[odd] += 1
+    q = _norm(g, w)
+    t = ((1 if q > 0 else -1) - q) // 2
+    return [a + t * b for a, b in zip(w, y)]
 
 
-def _represents_Q(cs, t) -> bool:
-    """Does the integral diagonal form of rank >= 2 represent the nonzero t over Q?"""
-    return is_isotropic_Q(DiagForm(tuple(cs) + (-t,)))
+def _to_front(cols, x):
+    """A basis of the lattice of cols whose first column is cols.x, for
+    primitive integer coordinates x, by Euclid on x: x_a cols_a + x_j
+    cols_j = x_a (cols_a + q cols_j) + (x_j - q x_a) cols_j."""
+    cols, x = [list(c) for c in cols], list(x)
+    while sum(1 for t in x if t) > 1:
+        a = min((j for j in range(len(x)) if x[j]), key=lambda j: abs(x[j]))
+        for j in range(len(x)):
+            if j != a and x[j]:
+                q = x[j] // x[a]
+                x[j] -= q * x[a]
+                cols[a] = [u + q * v for u, v in zip(cols[a], cols[j])]
+    a = next(j for j in range(len(x)) if x[j])
+    if abs(x[a]) != 1:
+        raise RuntimeError("unit vector coordinates are not primitive")
+    return [[x[a] * t for t in cols[a]]] + cols[:a] + cols[a + 1 :]
 
 
-def _common_value(left, rest, scan=400):
-    """Integer t represented by <left> with -t represented by <rest> over Q.
-
-    Tries small candidates first; when none pass the exact tests over Q
-    the value is assembled from local square-class targets at the places
-    of 2 * prod(coefficients) and one auxiliary prime, which reciprocity
-    exempts from explicit conditions.
-    """
-    for size in range(1, scan + 1):
-        for t in (size, -size):
-            if _represents_Q(list(left), t) and _represents_Q(list(rest), -t):
-                return t
-    places = {2}
-    for x in left + tuple(rest):
-        places.update(p for p, _ in factorize(abs(x)))
-    places = sorted(places)
-    targets = {}
-    for p in places:
-        reps = (1, 3, 5, 7, 2, 6, 10, 14) if p == 2 else (
-            1,
-            smallest_nonresidue_prime(p),
-            p,
-            p * smallest_nonresidue_prime(p),
-        )
-        tau = next(
-            (
-                r
-                for r in reps
-                if _represents_locally(left, r, p)
-                and _represents_locally(rest, -r, p)
-            ),
-            None,
-        )
-        if tau is None:
-            raise RuntimeError("no common local square class at %d" % p)
-        targets[p] = tau
-    sigma = 1 if any(x < 0 for x in rest) else -1
-    m = 1
-    for p in places:
-        if targets[p] % p == 0:
-            m *= p
-    congs = []
-    for p in places:
-        if p == 2:
-            continue
-        mp = m // p if m % p == 0 else m
-        unit_target = targets[p] // p if targets[p] % p == 0 else targets[p]
-        want = kronecker_symbol(unit_target, p)
-        base = sigma * mp % p
-        rho = next(r for r in range(1, p) if kronecker_symbol(base * r, p) == want)
-        congs.append((rho, p))
-    m2 = m // 2 if m % 2 == 0 else m
-    unit2 = (targets[2] // 2 if targets[2] % 2 == 0 else targets[2]) % 8
-    rho8 = unit2 * pow(sigma * m2 % 8, -1, 8) % 8
-    congs.append((rho8, 8))
-    q = next(primes_in_ap(crt_solve(congs), 8 * math.prod(p for p in places if p != 2)))
-    t = sigma * m * q
-    if not (_represents_Q(list(left), t) and _represents_Q(list(rest), -t)):
-        raise RuntimeError("assembled value %d is not represented as required" % t)
-    return t
+def _short_unit(g):
+    """Coordinates in {-1, 0, 1} of a vector of norm +-1, or None."""
+    return next((list(x) for x in itertools.product((0, 1, -1), repeat=len(g)) if _norm(g, x) in (1, -1)), None)
 
 
-def _descent_zero(cs):
-    """Primitive zero of an isotropic integral diagonal form, rank >= 3.
-
-    Square-reduces the coefficients, then either solves an isotropic
-    ternary subform directly or splits off a mixed-sign pair against a
-    common represented value, recursing on the remainder.
-    """
-    n = len(cs)
-    red, scales = [], []
-    for x in cs:
-        s, t = squarefree_part(x)
-        red.append(s)
-        scales.append(1 / Fraction(t))
-
-    def pull_back(z):
-        return _shrink_zero(cs, [s * x for s, x in zip(scales, z)])
-
-    y = _pair_shortcut(red)
-    if y is not None:
-        return pull_back(y)
-    if n == 3:
-        return pull_back(_ternary_zero(*red))
-    for i, j, k in itertools.combinations(range(n), 3):
-        tri = (red[i], red[j], red[k])
-        if len({x > 0 for x in tri}) == 2 and is_isotropic_Q(DiagForm(tri)):
-            z3 = _ternary_zero(*tri)
-            z = [0] * n
-            z[i], z[j], z[k] = z3
-            return pull_back(z)
-    pairs = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if red[i] * red[j] < 0
-    ]
-    i, j = min(pairs, key=lambda ij: (abs(red[ij[0]] * red[ij[1]]), ij))
-    rest_idx = [k for k in range(n) if k not in (i, j)]
-    rest = [red[k] for k in rest_idx]
-    t = _common_value((red[i], red[j]), rest)
-    alpha, beta, w = _ternary_zero(red[i], red[j], -t)
-    if w == 0:
-        raise RuntimeError("split-off pair does not represent %d" % t)
-    if len(rest) == 2:
-        rz = _ternary_zero(rest[0], rest[1], t)
-        ry, u = rz[:2], rz[2]
-        if u == 0:
-            raise RuntimeError("remainder does not represent %d" % -t)
-    else:
-        rz = _descent_zero(rest + [t])
-        ry, u = rz[:-1], rz[-1]
-        if u == 0:
-            z = [0] * n
-            for k, val in zip(rest_idx, ry):
-                z[k] = val
-            return pull_back(z)
-    z = [0] * n
-    z[i], z[j] = alpha * u, beta * u
-    for k, val in zip(rest_idx, ry):
-        z[k] = val * w
-    return pull_back(z)
-
-
-def cassels_isotropic_vector(g: DiagForm) -> tuple:
-    """Deterministic nonzero integral vector y with g(y) = 0.
-
-    Tries two-coordinate solutions first, then enumerates shells of
-    increasing max-norm (the first zero in the order 0, 1, -1, 2, -2, ...
-    of each coordinate, which has no negative coordinate) within a
-    rank-dependent budget; forms whose smallest zero lies past
-    the budget are decided exactly over the local fields and handed to
-    the descent solver.  Raises ValueError when the form is anisotropic.
-    Vectors from the bounded search stay within the Cassels bound;
-    descent vectors can exceed it.
-    """
-    cs = g.int_coeffs()
-    if len(cs) < 2:
-        raise ValueError("need rank >= 2")
-    bound = cassels_bound(g)
-    y = _pair_shortcut(cs)
-    if y is None and len(cs) == 2:
-        # the two-coordinate test is complete in rank 2
-        raise ValueError("no isotropic vector within the Cassels bound: %s" % g)
-    if y is None:
-        for n_norm in range(1, min(bound, 4) + 1):
-            y = _shell_first_zero(cs, n_norm)
-            if y is not None:
-                break
-    if y is None:
-        if not is_isotropic_Q(DiagForm(tuple(cs))):
-            raise ValueError("no isotropic vector within the Cassels bound: %s" % g)
-        cap = {3: 48, 4: 16, 5: 8}.get(len(cs), 3)
-        for n_norm in range(5, min(bound, cap) + 1):
-            y = _shell_first_zero(cs, n_norm)
-            if y is not None:
-                break
-    if y is not None:
-        if max(abs(t) for t in y) > bound:
-            raise RuntimeError("bounded search left the Cassels bound: %s" % (y,))
-    else:
-        y = _descent_zero(list(cs))
-    if g.evaluate(y) != 0 or not any(y):
-        raise RuntimeError("not an isotropic vector of %s: %s" % (g, y))
-    return y
-
-
-def represent_one(g: DiagForm) -> tuple:
-    """Rational x with g(x) = 1, for g representing 1 over Q."""
-    cs = g.int_coeffs()
-    n = len(cs)
-    for i, c in enumerate(cs):
-        if c == 1:
-            return tuple(Fraction(1 if j == i else 0) for j in range(n))
-    y = cassels_isotropic_vector(g.direct_sum(DiagForm((-1,))))
-    if y[n] != 0:
-        x = tuple(Fraction(y[j], y[n]) for j in range(n))
-    else:
-        i = next(j for j in range(n) if y[j])
-        alpha = Fraction(1 - cs[i], 2 * cs[i] * y[i])
-        x = tuple(Fraction(1 if j == i else 0) + alpha * y[j] for j in range(n))
-    if g.evaluate(x) != 1:
-        raise RuntimeError("%s does not take the value 1 at %s" % (g, x))
-    return x
+def _orthonormal_basis(s, cols, steps):
+    """Columns of an orthonormal basis of the odd unimodular lattice
+    spanned by cols under diag(s): the norm-1 vectors, then the one of
+    norm -1.  Each split is logged by how its unit vector was found."""
+    units, active = [], cols
+    while active:
+        kind, x = "basis", _unit_index(gram_matrix(s, active))
+        if x is None:
+            kind = "lll"
+            active, y = _lll_columns(s, active)
+            g = gram_matrix(s, active)
+            x = _unit_index(g)
+            if x is None and y is not None:
+                kind, x = "isotropic", _unit_from_isotropic(g, y)
+                if x is None:
+                    # an even lattice: the plane H, with h1 = active.y and
+                    # h2 = active.(w - t y) for w = _dual(g, y), t = Q(w)/2;
+                    # an earlier unit u of norm 1 gives u + h1 - h2 of norm -1
+                    kind = "hyperbolic"
+                    w = _dual(g, y)
+                    t = _norm(g, w) // 2
+                    plus = [i for i, (_, sign) in enumerate(units) if sign == 1]
+                    if not plus:
+                        raise RuntimeError("an even remainder with no unit of norm 1 to re-split it")
+                    active = [units.pop(plus[-1])[0]] + active
+                    x = [1] + [(1 + t) * a - b for a, b in zip(y, w)]
+            if x is None:
+                kind, x = "search", _short_unit(g)
+                if x is None:
+                    raise RuntimeError("no vector of norm +-1 found in the reduced basis")
+        active = _to_front(active, x)
+        v = active[0]
+        sign = _bilinear(s, v, v)
+        units.append((v, sign))
+        # project the rest onto v-perp: integral, as Q(v) = +-1
+        active = [[a - sign * _bilinear(s, b, v) * c for a, c in zip(b, v)] for b in active[1:]]
+        steps.append({"split": kind})
+    return [v for v, sign in units if sign == 1] + [v for v, sign in units if sign == -1]
 
 
 # ---------------------------------------------------------------------------
-# one reduction round
-
-
-def _perp_basis(cs, x):
-    """Primitive integral basis of the orthogonal complement of x."""
-    n = len(cs)
-    r = [Fraction(c) * xi for c, xi in zip(cs, x)]
-    pivot = next(i for i in range(n) if r[i] != 0)
-    basis = []
-    for i in range(n):
-        if i == pivot:
-            continue
-        v = [Fraction(0)] * n
-        v[i] = Fraction(1)
-        v[pivot] = -r[i] / r[pivot]
-        den = math.lcm(*(t.denominator for t in v))
-        w = [int(t * den) for t in v]
-        g = math.gcd(*(abs(t) for t in w))
-        basis.append([t // g for t in w])
-    return basis
-
-
-def _repair_basis(diag, cols, k, log):
-    """Make the k-th leading minor of the Gram matrix nonzero.
-
-    The first k - 1 minors are nonzero, so the k-th is nonzero exactly
-    when the Gram matrix of the first k columns has a nonzero last ldl
-    pivot.  Tries transpositions with later columns first, then adds one
-    later column to another; the first k - 1 columns, and so cols[0]
-    (the vector representing 1), are never touched.
-    """
-    n = len(cols)
-    for j in range(k, n):
-        cand = cols[:]
-        cand[k - 1], cand[j] = cand[j], cand[k - 1]
-        if ldl(gram_matrix(diag, cand[:k]))[1][-1] != 0:
-            log.append({"repair": "swap", "k": k, "j": j})
-            return cand
-    for i in range(k - 1, n):
-        for j in range(max(i + 1, k), n):
-            cand = cols[:]
-            cand[i] = [a + b for a, b in zip(cand[i], cand[j])]
-            cand[k - 1], cand[i] = cand[i], cand[k - 1]
-            if ldl(gram_matrix(diag, cand[:k]))[1][-1] != 0:
-                log.append({"repair": "add-swap", "k": k, "i": i, "j": j})
-                return cand
-    raise RuntimeError("cannot repair singular minor at k=%d" % k)
-
-
-def reduce_once(g: DiagForm):
-    """One reduction round: P with P^t A_g P = diag(1, b_2, ..., b_n).
-
-    Requires g integral and rationally isometric to <1,...,1> or to
-    <1,...,1,-1> (the precondition is not re-checked here; the driver
-    validates its input once).  Returns (P, g', log) with g' integral,
-    leading coefficient 1, and the congruence holds exactly.  When the
-    round is resolved by the bounded vector search the lcm of the
-    denominators of P stays within bound_E(g); rounds resolved by the
-    descent solver can exceed it.
-    """
-    cs = [Fraction(c) for c in g.coeffs]
-    n = len(cs)
-    x = represent_one(g)
-    log = {"x": list(x), "repairs": []}
-    if n == 1:
-        return [[Fraction(1)]], DiagForm((1,)), log
-
-    perp = _perp_basis([int(c) for c in cs], x)
-    cols = [list(x)] + _lll_columns([abs(int(c)) for c in cs], perp)
-    z = gram_matrix(cs, cols)
-    if z[0][0] != 1 or any(z[0][1:]):
-        raise RuntimeError("basis of x-perp is not orthogonal to x")
-
-    # Z = mu diag(d) mu^t; the first zero pivot is the first vanishing minor
-    mu, d = ldl(z)
-    while d[-1] == 0:
-        cols = _repair_basis(cs, cols, len(d), log["repairs"])
-        z = gram_matrix(cs, cols)
-        mu, d = ldl(z)
-
-    # w_k = (row k of mu^{-1}) / d_k solves Z_kk w_k = e_k; cleared to
-    # integers it weights cols[0..k] into column k of P (the
-    # upper-triangular P2P3), and b_k = w_k^t Z w_k * c_k^2 = c_k^2 / d_k
-    pcols = []
-    b = []
-    for k, row in enumerate(unit_lower_inverse(mu)):
-        w = [t / d[k] for t in row[: k + 1]]
-        ck = math.lcm(*(t.denominator for t in w))
-        col = [t * ck for t in w]
-        if col[k] < 0:
-            col = [-t for t in col]
-        pcols.append(
-            [sum((c * v[r] for c, v in zip(col, cols)), Fraction(0)) for r in range(n)]
-        )
-        bk = Fraction(ck * ck) / d[k]
-        if bk.denominator != 1 or bk == 0:
-            raise RuntimeError("diagonal entry %s is not a nonzero integer" % bk)
-        b.append(int(bk))
-
-    check = gram_matrix(cs, pcols)
-    if b[0] != 1 or any(
-        check[i][j] != (b[i] if i == j else 0) for i in range(n) for j in range(n)
-    ):
-        raise RuntimeError("reduction round lost exactness")
-    log["b"] = b
-    return [list(row) for row in zip(*pcols)], DiagForm(tuple(b)), log
-
-
-# ---------------------------------------------------------------------------
-# full reduction to the standard form
+# the isometry
 
 
 @dataclass(frozen=True)
@@ -831,23 +440,14 @@ def verify_isometry(p, source: DiagForm, target: DiagForm) -> bool:
     )
 
 
-def full_isometry_to_standard(g7: DiagForm, max_coeff: int | None = None) -> IsometryWitness:
+def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
     """Exact rational isometry from g7 onto <1,1,1,1,1,1,-1>.
 
     g7 must be integral of rank 7 and rationally isometric to the
-    target (checked up front, ValueError otherwise).  P is kept as its
-    7 columns; every step below is a column operation on them.  The
-    rounds run in one exact.known_primes() block: each round's
-    coefficients tend to share the large primes of the last, and the
-    block lets factorize split each such prime once per descent.
-
-    With max_coeff set, a round that leaves a coefficient above it in
-    absolute value ends the descent with BudgetExhausted.  S is checked
-    to be a multiple of rad(det g7) (forms.det_radical), which divides
-    the denominator of every isometry onto the target: P's columns span
-    a unimodular lattice, which lies in Z_p^7 when p does not divide S,
-    and an integral lattice containing a unimodular one equals it, so p
-    does not divide det g7.
+    target (checked up front, ValueError otherwise).  The two steps of
+    the module docstring give P.  P is checked exactly, S is checked to
+    be a multiple of rad(det g7) (forms.det_radical), and equal to it
+    when every coefficient of g7 is squarefree.
     """
     n = 7
     target = standard_lorentzian(6)
@@ -856,52 +456,17 @@ def full_isometry_to_standard(g7: DiagForm, max_coeff: int | None = None) -> Iso
     if not is_isometric_Q(g7, target):
         raise ValueError("form is not rationally isometric to the standard form")
 
-    cur = list(g7.int_coeffs())
-    cols = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
+    split = [squarefree_part(c) for c in g7.int_coeffs()]
+    s = [sf for sf, _ in split]
     steps = []
-    with known_primes():
-        for _ in range(40):
-            # square-reduce coefficients (column scalings)
-            for i in range(n):
-                s, t = partial_squarefree(cur[i])
-                if t != 1:
-                    cols[i] = [x / t for x in cols[i]]
-                    cur[i] = s
-            # stable reorder: +1 coefficients first, the -1 (if any) last
-            perm = sorted(range(n), key=lambda i: (0 if cur[i] == 1 else (2 if cur[i] == -1 else 1), 0))
-            cols = [cols[i] for i in perm]
-            cur = [cur[i] for i in perm]
-            if cur == [1, 1, 1, 1, 1, 1, -1]:
-                break
-            lead = 0
-            while lead < n and cur[lead] == 1:
-                lead += 1
-            trail = 1 if cur[-1] == -1 else 0
-            active = list(range(lead, n - trail))
-            if not active:
-                raise RuntimeError("no active block but form is not standard: %s" % cur)
-            sub = DiagForm(tuple(cur[i] for i in active))
-            if sub.rank == 1:
-                raise RuntimeError("irreducible residual coefficient %s" % sub)
-            p_sub, g_sub, log = reduce_once(sub)
-            old = [cols[ia] for ia in active]
-            for bcol, jb in enumerate(active):
-                cols[jb] = [
-                    sum((p_sub[a][bcol] * col[r] for a, col in enumerate(old)), Fraction(0))
-                    for r in range(n)
-                ]
-            for a, ia in enumerate(active):
-                cur[ia] = int(g_sub.coeffs[a])
-            steps.append(log)
-            if max_coeff is not None and any(abs(c) > max_coeff for c in cur):
-                raise BudgetExhausted("a descent coefficient passed %d" % max_coeff)
-        else:
-            raise RuntimeError("reduction did not terminate")
-
-    m = [list(row) for row in zip(*cols)]
+    cols = _orthonormal_basis(s, _unimodular_lattice(s, steps), steps)
+    m = [[cols[j][i] / split[i][1] for j in range(n)] for i in range(n)]
     if not verify_isometry(m, g7, target):
         raise RuntimeError("final congruence check failed")
     S = mat_denominator_lcm(m)
-    if S % det_radical(g7):
-        raise RuntimeError("S = %d is not a multiple of rad(det g7) = %d" % (S, det_radical(g7)))
+    lower = det_radical(g7)
+    if S % lower:
+        raise RuntimeError("S = %d is not a multiple of rad(det g7) = %d" % (S, lower))
+    if S != lower and all(t == 1 for _, t in split):
+        raise RuntimeError("S = %d is not rad(det g7) = %d for a squarefree form" % (S, lower))
     return IsometryWitness(P=m, source=g7, target=target, S=S, steps=steps)

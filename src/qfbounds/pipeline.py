@@ -35,24 +35,11 @@ from .arithmetic import (
     total_index_bound,
 )
 from .complement import ComplementWitness, complementary_form, search_complements, verify_complement
-from .exact import BudgetExhausted, rat_str
+from .exact import rat_str
 from .forms import INF, DiagForm, det_radical, invariant_profile, is_isotropic_Q, standard_lorentzian
 from .isometry import IsometryWitness, full_isometry_to_standard, verify_isometry
 
 Q61 = standard_lorentzian(6)
-
-# A searched candidate's descent stops once a coefficient passes 2**40
-# (BudgetExhausted): on the seeded corpus every chosen descent stays
-# below it, while the descents that run for seconds to minutes pass it
-# within a few rounds.  On some forms every candidate passes it (8 of
-# 188 seeded forms with z_i <= 30, where the construction failed after
-# 150 s on <24,2,15,-29>); the candidates are then descended again
-# under the squared budget.
-DESCENT_MAX_COEFFS = (1 << 40, 1 << 80, 1 << 160, 1 << 320)
-# Finished descents after which the candidates stop: on 79 seeded corpus
-# forms (seeds 405 and 406) the second beat the first on 10, and a third
-# to eighth beat the best of two on 6, by at most a factor of 9 in S.
-FINISHED_DESCENTS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +298,7 @@ REPORT_SCHEMA = {
         "quaternion": {"type": "object", "required": ["a", "b", "ram_f", "r_f"]},
         "complement": {
             "type": "object",
-            "required": ["qc", "c", "x", "d", "verified", "strategy", "candidates_tried"],
-            "properties": {"candidates_tried": {"type": "integer", "minimum": 0}},
+            "required": ["qc", "c", "x", "d", "verified", "strategy"],
             "oneOf": [
                 {
                     "properties": {
@@ -482,54 +468,22 @@ def run_pipeline(
 def complement_isometry_stage(q: DiagForm) -> tuple[dict, dict, ComplementWitness, IsometryWitness]:
     """The complement of q, its isometry, and their report blocks.
 
-    The searched complements (complement.search_complements) are
-    descended in rank order under the first budget of
-    DESCENT_MAX_COEFFS (_best_descent); when none finishes, they are
-    descended again under the next budget.  When no candidate finishes
-    under any of them, the construction runs without a budget.
+    The complement is the top-ranked one of complement.search_complements,
+    or the construction when the search finds none; it is confirmed by
+    verify_complement and descended once.
     """
     candidates = _stage("complement", search_complements, q)
-    best, tried = None, 0
-    for max_coeff in DESCENT_MAX_COEFFS:
-        best, n = _best_descent(q, candidates, max_coeff)
-        tried += n
-        if best is not None:
-            break
-    if best is None:
-        w = _stage("complement", complementary_form, q)
-        best = (w, _stage("isometry", full_isometry_to_standard, w.qc.direct_sum(q)))
-    witness, iso = best
-    comp_json = dict(to_json(witness), verified=True, candidates_tried=tried)
+    if candidates:
+        witness = candidates[0]
+        if not verify_complement(q, witness.qc):
+            raise RuntimeError("searched complement %s failed verification for %s" % (witness.qc, q))
+    else:
+        witness = _stage("complement", complementary_form, q)
+    iso = _stage("isometry", full_isometry_to_standard, witness.qc.direct_sum(q))
+    comp_json = dict(to_json(witness), verified=True)
     lower = det_radical(iso.source)
     iso_json = dict(to_json(iso), S_lower_bound=lower, log10_S_slack=math.log10(iso.S // lower))
     return comp_json, iso_json, witness, iso
-
-
-def _best_descent(q, candidates, max_coeff):
-    """The candidate and isometry with the smallest S among the descents
-    that finish under max_coeff, or None, and the number of descents run.
-
-    Each candidate is confirmed by verify_complement before its descent.
-    A descent that exhausts the budget means "try the next candidate".
-    The descents stop after FINISHED_DESCENTS finished ones, or once the
-    best S is at most twice the next candidate's lower bound rad(det g7).
-    """
-    best, tried, finished = None, 0, 0
-    for w in candidates:
-        g7 = w.qc.direct_sum(q)
-        if best is not None and (finished == FINISHED_DESCENTS or best[1].S <= 2 * det_radical(g7)):
-            break
-        if not verify_complement(q, w.qc):
-            raise RuntimeError("searched complement %s failed verification for %s" % (w.qc, q))
-        tried += 1
-        try:
-            iso = full_isometry_to_standard(g7, max_coeff=max_coeff)
-        except BudgetExhausted:
-            continue
-        finished += 1
-        if best is None or iso.S < best[1].S:
-            best = (w, iso)
-    return best, tried
 
 
 def _bounds_stage(K, norms_used, eps, V, cpe, ce, s_rf, cfg, iso, warnings):

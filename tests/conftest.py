@@ -189,45 +189,6 @@ def box_zero_search(cs, bound: int):
     return None
 
 
-def shell_first_zero_spiral(cs, n_norm):
-    """First zero of max-norm exactly n_norm, every coordinate running
-    through 0, 1, -1, 2, -2, ..., n_norm, -n_norm, or None.
-
-    The shell search as it enumerated before it dropped the negative
-    values: a depth-first walk over all sign patterns, pruned only when
-    the remaining coordinates cannot bring the value back to zero.
-    """
-    m = len(cs)
-    nn = n_norm * n_norm
-    pos_suf = [0] * (m + 1)
-    neg_suf = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        pos_suf[i] = pos_suf[i + 1] + max(cs[i], 0) * nn
-        neg_suf[i] = neg_suf[i + 1] + max(-cs[i], 0) * nn
-    spiral = [0] + [s * k for k in range(1, n_norm + 1) for s in (1, -1)]
-    vec = [0] * m
-
-    def rec(i, val, hit):
-        if val - neg_suf[i] > 0 or val + pos_suf[i] < 0:
-            return False
-        if i == m - 1:
-            t = -val
-            if t % cs[i] or t // cs[i] < 0:
-                return False
-            r = math.isqrt(t // cs[i])
-            if r * r != t // cs[i] or r > n_norm or (not hit and r != n_norm):
-                return False
-            vec[i] = r
-            return True
-        for y in spiral:
-            vec[i] = y
-            if rec(i + 1, val + cs[i] * y * y, hit or abs(y) == n_norm):
-                return True
-        return False
-
-    return tuple(vec) if rec(0, 0, False) else None
-
-
 def isotropy_oracle(cs):
     """Independent isotropy decision: True, False, or None when open.
 
@@ -372,8 +333,9 @@ def weighted_gso(weights, cols):
 
 
 def lll_columns_rebuild(weights, cols):
-    """LLL with the decisions of isometry._lll_columns (size reduction
-    from j = k-1 down, rounding half up, Lovasz constant 3/4), its
+    """LLL with the decisions of isometry._lll_columns for positive
+    weights (size reduction from j = k-1 down, rounding half up, Lovasz
+    constant 3/4), its
     Gram-Schmidt data recomputed by weighted_gso after every change."""
     b = [list(c) for c in cols]
     k = 1
@@ -558,7 +520,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_python(args, *flags, timeout=120):
-    """Run `python *flags *args` with src/ on the path, in a fresh process."""
+    """Run `python *flags *args` with src/ on the path, in a fresh process;
+    under `python -O` the process gets -O as well."""
+    if sys.flags.optimize and "-O" not in flags:
+        flags += ("-O",)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run(

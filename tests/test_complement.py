@@ -194,5 +194,7 @@ def test_search_complements_ranked_and_verified():
     for w in found:
         assert w.strategy == "search" and w.c is None and w.x is None
         assert w.qc == w.qc_raw and verify_complement(q, w.qc)
-    # a prime of d above SEARCH_MAX_SUM divides one of a, b, c: nothing fits
-    assert search_complements(DiagForm((1, 1, 1, -1_000_003))) == []
+    # a prime of d above SEARCH_MAX_SUM divides one of a, b, c, so no
+    # window has a triple; the triples with a*b*c = D are tried instead
+    found = search_complements(DiagForm((1, 1, 1, -1_000_003)))
+    assert [str(w.qc) for w in found] == ["<1,1,1000003>"]

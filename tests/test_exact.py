@@ -12,7 +12,6 @@ from qfbounds.exact import (
     crt_solve,
     factorize,
     is_prime,
-    known_primes,
     kronecker_symbol,
     parse_rat,
     primes_in_ap,
@@ -73,16 +72,16 @@ def brent_calls(monkeypatch, empty_memo):
     calls = []
     split = exact._brent_split
 
-    def counting(n, caps=exact._DEEP_CAPS):
+    def counting(n):
         calls.append(n)
-        return split(n, caps)
+        return split(n)
 
     monkeypatch.setattr(exact, "_brent_split", counting)
     return calls
 
 
 def test_factorize_budget_exhausted(monkeypatch, empty_memo):
-    def exhausted(n, caps=exact._DEEP_CAPS):
+    def exhausted(n):
         raise BudgetExhausted("no budget for %d" % n)
 
     p1, p2 = _primes_above(1 << 32, 2)
@@ -97,7 +96,7 @@ def test_factorize_budget_exhausted(monkeypatch, empty_memo):
 def test_failed_cofactor_split_is_remembered(monkeypatch, empty_memo):
     calls = []
 
-    def exhausted(n, caps=exact._DEEP_CAPS):
+    def exhausted(n):
         calls.append(n)
         raise BudgetExhausted("no budget for %d" % n)
 
@@ -106,7 +105,7 @@ def test_failed_cofactor_split_is_remembered(monkeypatch, empty_memo):
     for k in (3, 5):
         with pytest.raises(BudgetExhausted):
             factorize(k * p1 * p2)
-    # outside a known_primes() block: the memo alone saves the second attempt
+    # the memo saves the second attempt
     assert calls == [p1 * p2]
 
 
@@ -122,34 +121,6 @@ def test_factorize_outside_scope_splits_every_new_number(brent_calls):
     p1, p2, p3 = _primes_above(1 << 33, 3)
     assert factorize(p1 * p2) == [(p1, 1), (p2, 1)]
     assert factorize(p1 * p3) == [(p1, 1), (p3, 1)]
-    assert len(brent_calls) == 2
-
-
-def test_known_primes_reuses_large_primes(brent_calls):
-    p1, p2, p3 = _primes_above(1 << 33, 3)
-    n = 6 * p1 ** 3 * p3
-    plain = factorize(n)
-    exact._factorize_cached.cache_clear()
-    brent_calls.clear()
-    with known_primes():
-        assert factorize(p1 * p2) == [(p1, 1), (p2, 1)]
-        assert len(brent_calls) == 1
-        assert factorize(n) == plain == [(2, 1), (3, 1), (p1, 3), (p3, 1)]
-        assert factorize(p2 * p3) == [(p2, 1), (p3, 1)]
-        assert factorize(1) == []
-        with pytest.raises(ValueError):
-            factorize(0)
-    assert len(brent_calls) == 1
-
-
-def test_known_primes_reset_after_exception(brent_calls):
-    p1, p2, p3 = _primes_above(1 << 33, 3)
-    with pytest.raises(ZeroDivisionError):
-        with known_primes():
-            factorize(p1 * p2)
-            1 / 0
-    assert len(brent_calls) == 1
-    factorize(p1 * p3)
     assert len(brent_calls) == 2
 
 

@@ -12,17 +12,20 @@ print(run_preset('m306').json_str())" > tests/golden/m306.json
     PYTHONPATH=src python -m qfbounds.cli isometry 14,6,17,-1 --json \
 > tests/golden/isometry_14_6_17_-1.json
 
-The isometry reports (the other two forms likewise) lock descents the
-presets never reach: the first two run the descent solver and its
-Legendre lattice search, the third needs neither.  The
-isometry_construction_*.json files lock the same three forms through
-the construction path (complementary_form, then the descent without a
-budget), printed by _CONSTRUCTION below.  The other CLI files
-lock one `--json` output of each remaining subcommand, so that every
-value kind a report serializes (forms, rationals, bounds, the sharp
-enumeration, mpf constants, the places of the Hasse-Witt map) is
-covered; each is regenerated like k_constant_m306.json with the argv in
-_CLI below.  corpus_eps.txt holds the sha256 of each of the 40 seeded
+The isometry reports (the other two forms likewise) lock the searched
+complements of three forms the presets do not cover, and the
+isometry_construction_*.json files lock the same forms through the
+construction path (complementary_form, then the descent), printed by
+_CONSTRUCTION below.  Between them they take a Lagrangian of two
+vectors at one prime, a coefficient with a square factor (the 4 of
+<4,7,7,-2>), and every split of step 2 but the hyperbolic re-split and
+the last-resort search, which tests/test_isometry.py covers.  The other
+CLI files lock one `--json` output of each remaining subcommand, so
+that every value kind a report serializes (forms, rationals, bounds,
+the sharp enumeration, mpf constants, the places of the Hasse-Witt map)
+is covered; each is regenerated like k_constant_m306.json with the argv
+in _CLI below.  Under `python -O` each command runs with -O as well,
+which is how CI checks that the reports do not depend on asserts.  corpus_eps.txt holds the sha256 of each of the 40 seeded
 corpus reports; tests/corpus_digests.py says how it is made.
 """
 

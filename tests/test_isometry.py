@@ -1,6 +1,7 @@
-"""Explicit rational isometries: isotropic vectors, representing one,
-the reduction rounds, and the assembled rank-7 witnesses."""
+"""Explicit rational isometries: the unimodular lattice of step 1, the
+unit-vector splits of step 2, and the assembled rank-7 witnesses."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,23 +12,18 @@ from qfbounds.complement import complementary_form
 from qfbounds.forms import DiagForm, is_isometric_Q, standard_lorentzian
 from qfbounds.isometry import (
     IsometryWitness,
-    bound_E,
-    cassels_bound,
-    cassels_isotropic_vector,
     full_isometry_to_standard,
     mat_denominator_lcm,
-    reduce_once,
-    represent_one,
     verify_isometry,
+    _lagrangian,
     _lll_columns,
-    _perp_basis,
-    _repair_basis,
+    _orthonormal_basis,
+    _unimodular_lattice,
     gram_matrix,
 )
 from qfbounds.pipeline import to_json
 
 from conftest import (
-    cassels_box_bound,
     det_oracle,
     lll_columns_rebuild,
     random_nonzero,
@@ -39,106 +35,102 @@ Q61 = standard_lorentzian(6)
 
 
 # ---------------------------------------------------------------------------
-# bound functions
-
-def test_bound_E_fixed_values():
-    assert bound_E(DiagForm((1, -1))) == 18
-    assert bound_E(DiagForm((2, -7))) == 420
-    assert bound_E(DiagForm((1, 1, 1, -1))) == 450
+# step 1: the unimodular lattice
 
 
-# ---------------------------------------------------------------------------
-# isotropic vectors
-
-def test_cassels_vector_fixed_values():
-    assert cassels_isotropic_vector(DiagForm((1, -1))) == (1, 1)
-    assert cassels_isotropic_vector(DiagForm((1, 1, -2))) == (1, 1, 1)
-    y = cassels_isotropic_vector(DiagForm((1, 1, 1, -7, -1)))
-    q = DiagForm((1, 1, 1, -7, -1))
-    assert q.evaluate(y) == 0 and any(y)
-    assert max(abs(t) for t in y) <= cassels_bound(q)
-
-
-def test_cassels_vector_anisotropic_raises():
-    with pytest.raises(ValueError):
-        cassels_isotropic_vector(DiagForm((1, 1)))
-    with pytest.raises(ValueError):
-        cassels_isotropic_vector(DiagForm((1, -7)))
-
-
-def test_cassels_bound_matches_oracle():
-    rng = random.Random(401)
-    for _ in range(50):
-        n = rng.randint(2, 5)
-        q = DiagForm(tuple(random_nonzero(rng, -15, 15) for _ in range(n)))
-        assert cassels_bound(q) == cassels_box_bound(q.int_coeffs())
-
-
-def test_cassels_vectors_satisfy_bound_on_random_isotropic_forms():
-    rng = random.Random(402)
-    found = 0
-    for _ in range(120):
-        n = rng.randint(2, 4)
-        q = DiagForm(tuple(random_nonzero(rng, -12, 12) for _ in range(n)))
-        from qfbounds.forms import is_isotropic_Q
-
-        if not is_isotropic_Q(q):
-            continue
-        y = cassels_isotropic_vector(q)
-        found += 1
-        assert q.evaluate(y) == 0 and any(y)
-        assert max(abs(t) for t in y) <= cassels_bound(q)
-    assert found >= 40
-
-
-# ---------------------------------------------------------------------------
-# representing one
-
-def test_represent_one_fixed_values():
-    assert represent_one(DiagForm((1, 1, 1, -7))) == (1, 0, 0, 0)
-    assert represent_one(DiagForm((2, -7))) == (2, 1)
-    assert represent_one(DiagForm((2, -2))) == (Fraction(3, 4), Fraction(-1, 4))
-
-
-def test_represent_one_random_lorentzian_forms():
-    rng = random.Random(403)
-    count = 0
+def test_lagrangian_is_totally_isotropic_and_independent():
+    rng = random.Random(811)
     for _ in range(150):
-        n = rng.randint(2, 4)
-        coeffs = tuple(random_nonzero(rng, -10, 10) for _ in range(n))
-        g = DiagForm(coeffs)
-        if not is_isometric_Q(g, standard_lorentzian(n - 1)):
+        p = rng.choice([3, 5, 7, 11, 13])
+        k = rng.randint(1, 3)
+        units = [rng.randint(1, p - 1) for _ in range(2 * k)]
+        disc = (-1) ** k * math.prod(units)
+        if pow(disc % p, (p - 1) // 2, p) != 1:
+            # not split: only the last pair can tell, and it must refuse
+            with pytest.raises(RuntimeError, match="not split"):
+                _lagrangian(units, p)
             continue
-        x = represent_one(g)
-        count += 1
-        assert g.evaluate(x) == 1
-    assert count >= 10
+        vecs = _lagrangian(units, p)
+        assert len(vecs) == k
+        for u in vecs:
+            assert all(2 * abs(t) <= p for t in u)
+            for v in vecs:
+                assert sum(c * x * y for c, x, y in zip(units, u, v)) % p == 0
+        # rank k over F_p: some k x k minor is a unit mod p
+        minors = (
+            det_oracle([[v[i] for i in cols] for v in vecs])
+            for cols in itertools.combinations(range(2 * k), k)
+        )
+        assert any(m.numerator % p for m in minors)
+
+
+@pytest.mark.parametrize(
+    "s, primes",
+    [
+        ((2, 5, 10, 1, 2, 5, -10), [(2, 2), (5, 2)]),
+        ((15, 35, 39, 6, 3, 14, -13), [(2, 1), (3, 2), (5, 1), (7, 1), (13, 1)]),
+        ((1, 1, 1000003, 1, 1, 1, -1000003), [(1000003, 1)]),
+    ],
+)
+def test_unimodular_lattice_is_integral_with_det_minus_one(s, primes):
+    steps = []
+    cols = _unimodular_lattice(list(s), steps)
+    assert steps == [{"prime": p, "vectors": k} for p, k in primes]
+    g = gram_matrix(s, cols)
+    assert all(Fraction(x).denominator == 1 for row in g for x in row)
+    assert det_oracle(g) == -1
+    # Z^7 lies in L (Cramer coordinates of each e_i are integral), and
+    # L in (1/rad) Z^7
+    basis = [list(r) for r in zip(*cols)]
+    det = det_oracle(basis)
+    for e in range(7):
+        for j in range(7):
+            replaced = [row[:j] + [int(i == e)] + row[j + 1:] for i, row in enumerate(basis)]
+            assert (det_oracle(replaced) / det).denominator == 1
+    assert mat_denominator_lcm(basis) == math.prod(p for p, _ in primes)
 
 
 # ---------------------------------------------------------------------------
-# one reduction round
+# step 2: unit vectors of a unimodular lattice
 
-def test_reduce_once_identity_case():
-    p, g2, _ = reduce_once(DiagForm((1, -1)))
-    assert g2 == DiagForm((1, -1))
-    assert p == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+J = (1, 1, 1, 1, 1, 1, -1)
 
 
-def test_reduce_once_2_minus7():
-    g = DiagForm((2, -7))
-    p, g2, _ = reduce_once(g)
-    assert g2 == DiagForm((1, -14))
-    assert [p[0][0], p[1][0]] == [Fraction(2), Fraction(1)]
-    assert [p[0][1], p[1][1]] == [Fraction(7), Fraction(4)]
-    assert verify_isometry(p, g, g2)
+def _scrambled_identity(rng):
+    """Columns of U for a random unimodular U: 5 to 60 moves b_i += c b_j
+    with c in [-3, 3], starting from the identity."""
+    cols = [[int(i == j) for i in range(7)] for j in range(7)]
+    for _ in range(rng.randint(5, 60)):
+        i, j = rng.sample(range(7), 2)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        cols[i] = [a + c * b for a, b in zip(cols[i], cols[j])]
+    return cols
 
 
-def test_reduce_once_rank7():
-    g = DiagForm((1, 1, 7, 1, 1, 1, -7))
-    p, g2, _ = reduce_once(g)
-    assert g2.coeffs[0] == 1
-    assert verify_isometry(p, g, g2)
-    assert mat_denominator_lcm(p) <= bound_E(g)
+def test_step_two_splits_scrambled_bases_of_I61():
+    # U^t J U is I_{6,1} in a random basis; the columns returned are
+    # U T for an integral T with T^t (U^t J U) T = diag(1,...,1,-1)
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(200):
+        u = _scrambled_identity(rng)
+        steps = []
+        out = _orthonormal_basis(J, u, steps)
+        # U is unimodular, so T = U^-1 out is integral when out is
+        assert all(Fraction(x).denominator == 1 for col in out for x in col)
+        assert gram_matrix(J, out) == [[(J[i] if i == j else 0) for j in range(7)] for i in range(7)]
+        kinds.update(step["split"] for step in steps)
+    # every route of step 2 but the last-resort search is exercised
+    assert kinds == {"basis", "lll", "isotropic", "hyperbolic"}
+
+
+def test_lll_reports_isotropic_vector_at_zero_pivot():
+    # e_1 + e_7 is isotropic in I_{6,1}; put it first
+    cols = [[1, 0, 0, 0, 0, 0, 1]] + [[int(i == j) for i in range(7)] for j in range(1, 7)]
+    b, y = _lll_columns(J, cols)
+    assert b == cols and y[0] == 1 and not any(y[1:])
+    v = [sum(c * col[r] for c, col in zip(y, b)) for r in range(7)]
+    assert sum(w * x * x for w, x in zip(J, v)) == 0
 
 
 def _lll_cases():
@@ -156,7 +148,8 @@ def _lll_cases():
 def test_lll_columns_size_reduced_lovasz_same_lattice():
     for weights, cols, det in _lll_cases():
         n = len(cols)
-        out = _lll_columns(weights, cols)
+        out, zero = _lll_columns(weights, cols)
+        assert zero is None
         # same lattice: the output lies in it (integral Cramer coordinates)
         # and has the same covolume
         assert abs(det_oracle([list(r) for r in zip(*out)])) == abs(det)
@@ -174,76 +167,7 @@ def test_lll_columns_in_place_updates_match_rebuild():
     # the swap updates mu and the norms in place; exact arithmetic makes
     # every decision, and so every output, equal to a full recomputation
     for weights, cols, _ in _lll_cases():
-        assert _lll_columns(weights, cols) == lll_columns_rebuild(weights, cols)
-
-
-def _leading_minor(diag, cols, k):
-    return det_oracle([row[:k] for row in gram_matrix(diag, cols)[:k]])
-
-
-def test_repair_basis_swap_branch():
-    # the second column is isotropic, so the 2nd leading minor vanishes;
-    # swapping in the third column fixes it
-    diag = [1, 1, 1, -1]
-    cols = [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
-    assert _leading_minor(diag, cols, 2) == 0
-    log = []
-    out = _repair_basis(diag, cols, 2, log)
-    assert log == [{"repair": "swap", "k": 2, "j": 2}]
-    assert out[0] == cols[0] and _leading_minor(diag, out, 2) != 0
-
-
-def test_repair_basis_add_swap_branch():
-    # a hyperbolic block: both later columns are isotropic, so no
-    # transposition helps and a sum of the two is swapped in
-    diag = [1, 1, -1]
-    cols = [[1, 0, 0], [0, 1, 1], [0, 1, -1]]
-    assert _leading_minor(diag, cols, 2) == 0
-    log = []
-    out = _repair_basis(diag, cols, 2, log)
-    assert log == [{"repair": "add-swap", "k": 2, "i": 1, "j": 2}]
-    assert out[0] == cols[0] and _leading_minor(diag, out, 2) != 0
-
-
-def _random_lorentzian_congruent(rng, n, entry_cap=30):
-    """Integral form with entries <= entry_cap, isometric to the
-    standard <1,...,1,-1> by a unimodular change of basis."""
-    from conftest import congruent_diagonalization, random_unimodular
-
-    std = [1] * (n - 1) + [-1]
-    while True:
-        u = random_unimodular(rng, n, steps=rng.randint(2, 5))
-        diag = congruent_diagonalization(std, u)
-        if any(d == 0 for d in diag):
-            continue
-        # per-coordinate square scaling keeps the isometry class
-        ints = [d.numerator * d.denominator for d in diag]
-        if all(abs(d) <= entry_cap for d in ints):
-            return DiagForm(tuple(ints))
-
-
-def test_reduce_once_bound_compliance():
-    rng = random.Random(404)
-    checked = 0
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        g = _random_lorentzian_congruent(rng, n)
-        coeffs = g.coeffs
-        assert is_isometric_Q(g, standard_lorentzian(n - 1))
-        p, g2, log = reduce_once(g)
-        checked += 1
-        assert verify_isometry(p, g, g2)
-        assert g2.coeffs[0] == 1 and g2.is_integral()
-        e = bound_E(g)
-        assert mat_denominator_lcm(p) <= e
-        # the first-stage matrix [x | perp basis] has controlled determinant
-        x = [Fraction(t) for t in log["x"]]
-        cols = [x] + _perp_basis([int(c) for c in coeffs], x)
-        p1 = [[cols[j][i] for j in range(n)] for i in range(n)]
-        det1 = det_oracle(p1)
-        assert det1 != 0
-        assert det1 ** 2 <= Fraction(e) ** (4 * n) * n ** n
-    assert checked == 40
+        assert _lll_columns(weights, cols) == (lll_columns_rebuild(weights, cols), None)
 
 
 # ---------------------------------------------------------------------------
