@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qfbounds.complement import complementary_form
-from qfbounds.forms import DiagForm, is_isometric_Q, standard_lorentzian
+from qfbounds.forms import DiagForm, standard_lorentzian
 from qfbounds.isometry import (
     IsometryWitness,
     full_isometry_to_standard,
@@ -224,6 +224,24 @@ def test_full_isometry_checks_S_against_lower_bound(monkeypatch):
 
     monkeypatch.setattr(isometry, "det_radical", lambda g: 1_000_000_007)
     with pytest.raises(RuntimeError, match="is not a multiple of rad"):
+        full_isometry_to_standard(DiagForm((1, 1, 7, 1, 1, 1, -7)))
+
+
+def test_full_isometry_checks_S_equals_lower_bound_when_squarefree(monkeypatch):
+    # S = 7 is a multiple of 1, but a squarefree g7 must reach rad exactly
+    from qfbounds import isometry
+
+    monkeypatch.setattr(isometry, "det_radical", lambda g: 1)
+    with pytest.raises(RuntimeError, match="is not rad"):
+        full_isometry_to_standard(DiagForm((1, 1, 7, 1, 1, 1, -7)))
+
+
+def test_full_isometry_checks_the_lattice_of_step_one(monkeypatch):
+    # a vector that is not isotropic mod 7 leaves the Gram matrix non-integral
+    from qfbounds import isometry
+
+    monkeypatch.setattr(isometry, "_lagrangian", lambda units, p: [[1, 0]])
+    with pytest.raises(RuntimeError, match="not integral with det -1"):
         full_isometry_to_standard(DiagForm((1, 1, 7, 1, 1, 1, -7)))
 
 
