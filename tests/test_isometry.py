@@ -18,6 +18,7 @@ from qfbounds.isometry import (
     _lagrangian,
     _lll_columns,
     _orthonormal_basis,
+    _short_unit,
     _unimodular_lattice,
     gram_matrix,
 )
@@ -131,6 +132,12 @@ def test_lll_reports_isotropic_vector_at_zero_pivot():
     assert b == cols and y[0] == 1 and not any(y[1:])
     v = [sum(c * col[r] for c, col in zip(y, b)) for r in range(7)]
     assert sum(w * x * x for w, x in zip(J, v)) == 0
+
+
+def test_short_unit_last_resort():
+    assert _short_unit([[3, 1], [1, 0]]) == [1, -1]
+    # the even plane H has no vector of odd norm
+    assert _short_unit([[0, 1], [1, 0]]) is None
 
 
 def _lll_cases():
