@@ -61,10 +61,10 @@ from .forms import DiagForm, det_radical, is_isometric_Q, ldl, standard_lorentzi
 def gram_matrix(diag_coeffs, cols):
     """(P^t A P) for A = diag(diag_coeffs), P given by columns.
 
-    The one Gram builder of the package: the descent, its lattice
-    reductions and the exact checks all call it.  It computes the upper
-    triangle and mirrors it.  Sums start from the int 0, so int input
-    gives int entries, which ldl reads as Fractions.
+    The Gram builder of the diagonal forms: step 1 and the exact checks
+    call it (step 2 works in a basis of L, through _gram).  It computes
+    the upper triangle and mirrors it.  Sums start from the int 0, so
+    int input gives int entries, which ldl reads as Fractions.
     """
     n = len(cols)
     g = [[0] * n for _ in range(n)]
@@ -170,11 +170,13 @@ def _echelon_basis(vectors, n):
 
 
 def _unimodular_lattice(s, steps):
-    """Columns of a basis of the lattice L of step 1, in the coordinates
-    where the form is diag(s) with every s_i squarefree."""
+    """The lattice L of step 1 as (N, cols, G): cols are N times a basis
+    of L, integer columns in the coordinates where the form is diag(s)
+    with every s_i squarefree, and G is its Gram matrix."""
     n = len(s)
     primes = sorted({p for c in s for p, _ in factorize(abs(c))})
-    gens = []
+    N = math.prod(primes)
+    ints = [[N * int(i == j) for i in range(n)] for j in range(n)]
     for p in primes:
         block = [i for i in range(n) if s[i] % p == 0]
         if len(block) % 2:
@@ -186,45 +188,49 @@ def _unimodular_lattice(s, steps):
             vecs = _lagrangian([s[i] // p for i in block], p)
             blocks = [block] * len(vecs)
         for v, idx in zip(vecs, blocks):
-            col = [Fraction(0)] * n
+            col = [0] * n
             for i, t in zip(idx, v):
-                col[i] = Fraction(t, p)
-            gens.append(col)
+                col[i] = N // p * t
+            ints.append(col)
         steps.append({"prime": p, "vectors": len(vecs)})
-    N = math.prod(primes)
-    ints = [[N * int(i == j) for i in range(n)] for j in range(n)]
-    ints += [[int(N * t) for t in col] for col in gens]
-    cols = [[Fraction(t, N) for t in v] for v in _echelon_basis(ints, n)]
+    cols = _echelon_basis(ints, n)
     g = gram_matrix(s, cols)
     # the basis is triangular: det Gram = (prod of its diagonal)**2 * prod(s)
-    det = math.prod(cols[j][j] for j in range(n)) ** 2 * math.prod(s)
-    if det != -1 or any(x.denominator != 1 for row in g for x in row):
+    det = Fraction(math.prod(cols[j][j] for j in range(n)) ** 2 * math.prod(s), N ** (2 * n))
+    if det != -1 or any(x % (N * N) for row in g for x in row):
         raise RuntimeError("the lattice of step 1 is not integral with det -1 (det %s)" % det)
-    return cols
+    return N, cols, [[x // (N * N) for x in row] for row in g]
 
 
 # ---------------------------------------------------------------------------
 # step 2: unit vectors of the unimodular lattice
 
 
-def _lll_columns(weights, cols):
-    """Indefinite LLL of the columns under the form sum w_i x_i^2.
+def _gram(G, cols):
+    """cols^t G cols for a full symmetric matrix G: the Gram matrices of
+    step 2, whose coordinates are those of a basis of L."""
+    gc = [[sum(r * c for r, c in zip(row, col)) for row in G] for col in cols]
+    return [[sum(a * b for a, b in zip(u, w)) for w in gc] for u in cols]
+
+
+def _lll_columns(G, cols):
+    """Indefinite LLL of integer columns under the Gram matrix G.
 
     Keeps the spanned lattice and returns (b, y).  The columns b are
     size-reduced (every |mu_ij| <= 1/2) and meet the Lovasz condition
-    |d_k + mu_k,k-1^2 d_k-1| >= 3/4 |d_k-1|, which for positive weights
+    |d_k + mu_k,k-1^2 d_k-1| >= 3/4 |d_k-1|, which for a definite G
     is the usual one.  The Gram-Schmidt data is the exact ldl of the
-    gram_matrix, computed once and then updated in place: a size
+    columns' Gram matrix, computed once and then updated in place: a size
     reduction b_k -= q b_j updates row k of mu (mu_kj -= q, mu_ki -= q
     mu_ji for i < j) and leaves the norms as they are, and a swap
     applies the exact LLL swap formulas.  When a leading minor vanishes
-    (a zero pivot, only possible for an indefinite form) the reduction
+    (a zero pivot, only possible for an indefinite G) the reduction
     stops there and y holds the integer coordinates, in b, of a
     primitive isotropic vector; otherwise y is None.
     """
     b = [list(col) for col in cols]
     n = len(b)
-    mu, norms = ldl(gram_matrix(weights, b))
+    mu, norms = ldl(_gram(G, b))
     if norms[-1] == 0:
         return b, _isotropic_coords(mu, n)
     k = 1
@@ -242,7 +248,7 @@ def _lll_columns(weights, cols):
         if abs(norms[k] + m * m * norms[k - 1]) < Fraction(3, 4) * abs(norms[k - 1]):
             b[k], b[k - 1] = b[k - 1], b[k]
             if norms[k] + m * m * norms[k - 1] == 0:
-                mu, norms = ldl(gram_matrix(weights, b))
+                mu, norms = ldl(_gram(G, b))
                 return b, _isotropic_coords(mu, n)
             _swap_gram_schmidt(mu, norms, k)
             k = max(k - 1, 1)
@@ -276,12 +282,8 @@ def _isotropic_coords(mu, n):
     return [t // g for t in y] + [0] * (n - len(y))
 
 
-def _bilinear(s, u, v):
-    return sum(c * x * y for c, x, y in zip(s, u, v))
-
-
 def _norm(g, x):
-    return sum(x[i] * g[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
+    return _gram(g, [x])[0][0]
 
 
 def _unit_index(g):
@@ -361,17 +363,19 @@ def _short_unit(g):
     return next((list(x) for x in itertools.product((0, 1, -1), repeat=len(g)) if _norm(g, x) in (1, -1)), None)
 
 
-def _orthonormal_basis(s, cols, steps):
-    """Columns of an orthonormal basis of the odd unimodular lattice
-    spanned by cols under diag(s): the norm-1 vectors, then the one of
-    norm -1.  Each split is logged by how its unit vector was found."""
-    units, active = [], cols
+def _orthonormal_basis(G, steps):
+    """Integer columns T with T^t G T = diag(1,...,1,-1), for the Gram
+    matrix G of an odd unimodular lattice of signature (6, 1): the
+    norm-1 vectors, then the one of norm -1.  Each split is logged by
+    how its unit vector was found."""
+    n = len(G)
+    units, active = [], [[int(i == j) for i in range(n)] for j in range(n)]
     while active:
-        kind, x = "basis", _unit_index(gram_matrix(s, active))
+        kind, x = "basis", _unit_index(_gram(G, active))
         if x is None:
             kind = "lll"
-            active, y = _lll_columns(s, active)
-            g = gram_matrix(s, active)
+            active, y = _lll_columns(G, active)
+            g = _gram(G, active)
             x = _unit_index(g)
             if x is None and y is not None:
                 kind, x = "isotropic", _unit_from_isotropic(g, y)
@@ -392,11 +396,11 @@ def _orthonormal_basis(s, cols, steps):
                 if x is None:
                     raise RuntimeError("no vector of norm +-1 found in the reduced basis")
         active = _to_front(active, x)
-        v = active[0]
-        sign = _bilinear(s, v, v)
+        h = _gram(G, active)
+        v, sign = active[0], h[0][0]
         units.append((v, sign))
         # project the rest onto v-perp: integral, as Q(v) = +-1
-        active = [[a - sign * _bilinear(s, b, v) * c for a, c in zip(b, v)] for b in active[1:]]
+        active = [[a - sign * h[0][j] * c for a, c in zip(b, v)] for j, b in enumerate(active) if j]
         steps.append({"split": kind})
     return [v for v, sign in units if sign == 1] + [v for v, sign in units if sign == -1]
 
@@ -427,14 +431,18 @@ class IsometryWitness:
 
 
 def verify_isometry(p, source: DiagForm, target: DiagForm) -> bool:
-    """Exact check of P^t A_source P == A_target (diagonal forms)."""
+    """Exact check of P^t A_source P == A_target (diagonal forms), in
+    integers: with S the common denominator of P and D that of A_source,
+    (S P)^t (D A_source) (S P) == D S^2 A_target."""
     n = source.rank
     if target.rank != n or len(p) != n or any(len(row) != n for row in p):
         return False
-    cols = [[Fraction(p[i][j]) for i in range(n)] for j in range(n)]
-    gr = gram_matrix(source.coeffs, cols)
+    S = mat_denominator_lcm(p)
+    D = math.lcm(*(c.denominator for c in source.coeffs))
+    cols = [[int(Fraction(p[i][j]) * S) for i in range(n)] for j in range(n)]
+    gr = gram_matrix([int(c * D) for c in source.coeffs], cols)
     return all(
-        gr[i][j] == (target.coeffs[i] if i == j else 0)
+        gr[i][j] == (target.coeffs[i] * D * S * S if i == j else 0)
         for i in range(n)
         for j in range(n)
     )
@@ -459,8 +467,13 @@ def full_isometry_to_standard(g7: DiagForm) -> IsometryWitness:
     split = [squarefree_part(c) for c in g7.int_coeffs()]
     s = [sf for sf, _ in split]
     steps = []
-    cols = _orthonormal_basis(s, _unimodular_lattice(s, steps), steps)
-    m = [[cols[j][i] / split[i][1] for j in range(n)] for i in range(n)]
+    N, basis, G = _unimodular_lattice(s, steps)
+    T = _orthonormal_basis(G, steps)
+    # column k of P is basis.T_k / N, its row i scaled back by 1/t_i
+    m = [
+        [Fraction(sum(b[i] * x for b, x in zip(basis, col)), N * int(split[i][1])) for col in T]
+        for i in range(n)
+    ]
     if not verify_isometry(m, g7, target):
         raise RuntimeError("final congruence check failed")
     S = mat_denominator_lcm(m)

@@ -75,10 +75,12 @@ def test_lagrangian_is_totally_isotropic_and_independent():
 )
 def test_unimodular_lattice_is_integral_with_det_minus_one(s, primes):
     steps = []
-    cols = _unimodular_lattice(list(s), steps)
+    N, ints, G = _unimodular_lattice(list(s), steps)
+    assert N == math.prod(p for p, _ in primes)
     assert steps == [{"prime": p, "vectors": k} for p, k in primes]
+    cols = [[Fraction(x, N) for x in col] for col in ints]
     g = gram_matrix(s, cols)
-    assert all(Fraction(x).denominator == 1 for row in g for x in row)
+    assert g == G and all(Fraction(x).denominator == 1 for row in g for x in row)
     assert det_oracle(g) == -1
     # Z^7 lies in L (Cramer coordinates of each e_i are integral), and
     # L in (1/rad) Z^7
@@ -109,17 +111,17 @@ def _scrambled_identity(rng):
 
 
 def test_step_two_splits_scrambled_bases_of_I61():
-    # U^t J U is I_{6,1} in a random basis; the columns returned are
-    # U T for an integral T with T^t (U^t J U) T = diag(1,...,1,-1)
+    # U^t J U is I_{6,1} in a random basis; step 2 must return an
+    # integral T with T^t (U^t J U) T = diag(1,...,1,-1)
     rng = random.Random(11)
     kinds = set()
     for _ in range(200):
         u = _scrambled_identity(rng)
         steps = []
-        out = _orthonormal_basis(J, u, steps)
-        # U is unimodular, so T = U^-1 out is integral when out is
-        assert all(Fraction(x).denominator == 1 for col in out for x in col)
-        assert gram_matrix(J, out) == [[(J[i] if i == j else 0) for j in range(7)] for i in range(7)]
+        t = _orthonormal_basis(gram_matrix(J, u), steps)
+        assert all(isinstance(x, int) for col in t for x in col)
+        ut = [[sum(col[r] * x for col, x in zip(u, tcol)) for r in range(7)] for tcol in t]
+        assert gram_matrix(J, ut) == [[(J[i] if i == j else 0) for j in range(7)] for i in range(7)]
         kinds.update(step["split"] for step in steps)
     # every route of step 2 but the last-resort search is exercised
     assert kinds == {"basis", "lll", "isotropic", "hyperbolic"}
@@ -128,7 +130,7 @@ def test_step_two_splits_scrambled_bases_of_I61():
 def test_lll_reports_isotropic_vector_at_zero_pivot():
     # e_1 + e_7 is isotropic in I_{6,1}; put it first
     cols = [[1, 0, 0, 0, 0, 0, 1]] + [[int(i == j) for i in range(7)] for j in range(1, 7)]
-    b, y = _lll_columns(J, cols)
+    b, y = _lll_columns(_diag(J), cols)
     assert b == cols and y[0] == 1 and not any(y[1:])
     v = [sum(c * col[r] for c, col in zip(y, b)) for r in range(7)]
     assert sum(w * x * x for w, x in zip(J, v)) == 0
@@ -138,6 +140,10 @@ def test_short_unit_last_resort():
     assert _short_unit([[3, 1], [1, 0]]) == [1, -1]
     # the even plane H has no vector of odd norm
     assert _short_unit([[0, 1], [1, 0]]) is None
+
+
+def _diag(weights):
+    return [[w if i == j else 0 for j in range(len(weights))] for i, w in enumerate(weights)]
 
 
 def _lll_cases():
@@ -155,7 +161,7 @@ def _lll_cases():
 def test_lll_columns_size_reduced_lovasz_same_lattice():
     for weights, cols, det in _lll_cases():
         n = len(cols)
-        out, zero = _lll_columns(weights, cols)
+        out, zero = _lll_columns(_diag(weights), cols)
         assert zero is None
         # same lattice: the output lies in it (integral Cramer coordinates)
         # and has the same covolume
@@ -174,7 +180,7 @@ def test_lll_columns_in_place_updates_match_rebuild():
     # the swap updates mu and the norms in place; exact arithmetic makes
     # every decision, and so every output, equal to a full recomputation
     for weights, cols, _ in _lll_cases():
-        assert _lll_columns(weights, cols) == (lll_columns_rebuild(weights, cols), None)
+        assert _lll_columns(_diag(weights), cols) == (lll_columns_rebuild(weights, cols), None)
 
 
 # ---------------------------------------------------------------------------
