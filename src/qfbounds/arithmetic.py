@@ -1,14 +1,15 @@
-"""Imaginary quadratic field data, quaternion ramification, covolume
-formulas, and the effective index-bound constants built from them.
+"""Imaginary quadratic field data, quaternion ramification, the maximal
+covolume, and the effective index-bound constants built from them.
 
 The chain implemented here: a signature (3,1) diagonal form determines
 an imaginary quadratic field k = Q(sqrt(-d)) and a quaternion algebra
 (z3*z4, z2*z4 / k).  The algebra's finite ramification set, together
-with class-number and zeta data of k, feeds Borel-style covolume
-formulas for Eichler and maximal arithmetic lattices.  Comparing those
-covolumes against a target volume V bounds the level support S that a
-maximal lattice containing a fixed lattice of covolume <= V can have,
-which turns into an index bound of the shape 2**(|S|+r_f+1) * [k_A:k].
+with class-number and zeta data of k, feeds the Borel-style covolume
+of a maximal arithmetic lattice (its one formula is in
+sharp_S_enumeration).  Comparing it against a target volume V bounds
+the level support S that a maximal lattice containing a fixed lattice
+of covolume <= V can have, which turns into an index bound of the shape
+2**(|S|+r_f+1) * [k_A:k].
 Generic (any V, any eps) and sharp (enumerated small prime norms)
 variants are both provided.
 
@@ -73,11 +74,6 @@ def splitting_type(K: ImagQuadField, p: int) -> str:
     if K.d_k % p == 0:
         return "ramified"
     return "split" if kronecker_symbol(K.disc, p) == 1 else "inert"
-
-
-def prime_norm(K: ImagQuadField, p: int) -> int:
-    """Norm of (any) prime of K over p: p unless p is inert, then p**2."""
-    return p * p if splitting_type(K, p) == "inert" else p
 
 
 @lru_cache(maxsize=None)
@@ -207,38 +203,6 @@ def ram_norms(A: QuatAlgebra) -> list[int]:
     return sorted(out)
 
 
-# ---------------------------------------------------------------------------
-# covolume formulas
-
-
-def eichler_covolume(K: ImagQuadField, A: QuatAlgebra, level: list) -> float:
-    """Covolume of the image of the unit group of an Eichler order.
-
-    level is a list of (prime_norm, exponent) pairs; the empty list is a
-    maximal order.  Value: (d_k^{3/2} zeta_k(2) / 4 pi^2)
-    * prod over ramified primes of (Nr - 1)
-    * prod over level of Nr^{n-1} (Nr + 1).
-    """
-    val = K.d_k ** 1.5 * zeta_k_2(K) / (4 * math.pi ** 2)
-    for norm in ram_norms(A):
-        val *= norm - 1
-    for norm, exp in level:
-        if exp < 1:
-            raise ValueError("level exponents must be >= 1")
-        val *= norm ** (exp - 1) * (norm + 1)
-    return val
-
-
-@dataclass(frozen=True)
-class CovolumeParams:
-    S_norms: tuple = ()
-    m: int | None = None  # defaults to |S| (the covolume-minimizing choice)
-    deg_kA: int = 1
-
-    def resolved_m(self) -> int:
-        return len(self.S_norms) if self.m is None else self.m
-
-
 def require_degree(K: ImagQuadField, deg_kA: int) -> None:
     """Reject a degree [k_A:k] outside [1, h_k]: k_A lies in the Hilbert
     class field of k, whose degree over k is h_k."""
@@ -246,25 +210,6 @@ def require_degree(K: ImagQuadField, deg_kA: int) -> None:
         raise ValueError("deg_kA must be at least 1, got %r" % deg_kA)
     if deg_kA > K.h_k:
         raise ValueError("deg_kA must be at most the class number h_k = %d, got %r" % (K.h_k, deg_kA))
-
-
-def maximal_covolume(K: ImagQuadField, A: QuatAlgebra, params: CovolumeParams) -> float:
-    """Covolume of the maximal lattice with level support S.
-
-    (d_k^{3/2} zeta_k(2) / (8 pi^2 [k_A:k] 2^m))
-    * prod over ramified primes of ((Nr - 1)/2)
-    * prod over S of (Nr + 1), with 0 <= m <= |S|.
-    """
-    m = params.resolved_m()
-    if not 0 <= m <= len(params.S_norms):
-        raise ValueError("m must satisfy 0 <= m <= |S|")
-    require_degree(K, params.deg_kA)
-    val = K.d_k ** 1.5 * zeta_k_2(K) / (8 * math.pi ** 2 * params.deg_kA * 2 ** m)
-    for norm in ram_norms(A):
-        val *= (norm - 1) / 2
-    for norm in params.S_norms:
-        val *= norm + 1
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +354,17 @@ def sharp_S_enumeration(
     base = d_k^{3/2} zeta_k(2) / (8 pi^2 deg) * prod_ram((Nr-1)/2).
     Greedily packing the smallest usable norms maximizes |S|; the index
     coefficient is then 2**(|S|+r_f+1) * deg (this already accounts for
-    the covolume factor V, so it multiplies nothing further).
+    the covolume factor V, so it multiplies nothing further).  A norm is
+    packed unless the product exceeds V * (1 + 1e-12): zeta_k_2 and the
+    product carry float error, and an outward margin can only over-count
+    |S|, which keeps the coefficient an upper bound.
 
     eps mode (eps given): drop the two smallest usable norms; every
     remaining factor is at least b = (n3+1)/2 for the third-smallest
     norm n3, giving |S| <= log_b(V) + 2 and the coefficient
     2**(r_f+3) * deg multiplying V**eps, valid for eps >= ln2/ln b.
+    That threshold is a plain float comparison: for b = 2 it is exactly
+    1.0, and a relative margin would reject eps = 1.
     """
     r_f = len(ram_norms_list)
     if (V is None) == (eps is None):
@@ -444,7 +394,8 @@ def sharp_S_enumeration(
         acc *= (norm - 1) / 2
     used = []
     for norm in prime_norms(K, ram_norms_list):
-        if acc * (norm + 1) / 2 > V:
+        # outward margin for the float error of zeta_k_2 and the product
+        if acc * (norm + 1) / 2 > V * (1 + 1e-12):
             break
         acc *= (norm + 1) / 2
         used.append(norm)

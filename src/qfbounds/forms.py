@@ -3,8 +3,8 @@ completions.
 
 A form <a_1, ..., a_n> is stored as a tuple of nonzero rationals.  The
 module computes Hilbert symbols over Q_p and R, Hasse-Witt invariants,
-discriminant square classes, and the classical isometry / similarity /
-isotropy decisions that follow from them.
+discriminant square classes, and the classical isometry and isotropy
+decisions that follow from them.
 
 Conventions:
   * the infinite place is the float inf, finite places are primes;
@@ -78,12 +78,6 @@ class DiagForm:
     def direct_sum(self, other: "DiagForm") -> "DiagForm":
         return DiagForm(self.coeffs + other.coeffs)
 
-    def scaled(self, lam) -> "DiagForm":
-        lam = Fraction(lam)
-        if lam == 0:
-            raise ValueError("scaling by zero")
-        return DiagForm(tuple(lam * c for c in self.coeffs))
-
     def squarefree_normalized(self) -> "DiagForm":
         """Replace each coefficient by its squarefree integer representative.
 
@@ -98,11 +92,6 @@ class DiagForm:
         if not self.is_integral():
             raise ValueError("form is not integral: %s" % (self,))
         return tuple(c.numerator for c in self.coeffs)
-
-    def evaluate(self, vec) -> Fraction:
-        if len(vec) != self.rank:
-            raise ValueError("vector length does not match rank")
-        return sum((c * Fraction(v) ** 2 for c, v in zip(self.coeffs, vec)), Fraction(0))
 
     def to_json_list(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
@@ -285,34 +274,6 @@ def is_isometric_Q(q1: DiagForm, q2: DiagForm) -> bool:
         return False
     places = sorted(set(relevant_places(q1)[:-1]) | set(relevant_places(q2)[:-1]))
     return all(hasse_witt(q1, p) == hasse_witt(q2, p) for p in places)
-
-
-def _squarefree_divisors(primes_list):
-    for r in range(len(primes_list) + 1):
-        for combo in itertools.combinations(primes_list, r):
-            d = 1
-            for p in combo:
-                d *= p
-            yield d
-
-
-def is_similar(q1: DiagForm, q2: DiagForm):
-    """Return a rational lambda with q1 isometric to lambda * q2, or None.
-
-    Candidate scalars are +-(squarefree products of the primes relevant
-    to either form), tried by increasing absolute value with the
-    positive sign first, so similar forms always get the smallest
-    witness and is_similar(q, q) returns 1.
-    """
-    if q1.rank != q2.rank:
-        raise ValueError("similarity needs equal ranks: %d vs %d" % (q1.rank, q2.rank))
-    ps = sorted(set(relevant_places(q1)[:-1]) | set(relevant_places(q2)[:-1]))
-    cands = sorted(set(_squarefree_divisors(ps)))
-    for d in cands:
-        for lam in (d, -d):
-            if is_isometric_Q(q1, q2.scaled(lam)):
-                return Fraction(lam)
-    return None
 
 
 def _isotropic_at(q: DiagForm, v) -> bool:

@@ -173,9 +173,6 @@ class CoxeterSimplex:
         with mp.workdps(digits + 10):
             return cls.from_diagram(*p6_diagram())
 
-    def normal(self, j: int) -> tuple:
-        return tuple(self.normal_matrix[i][j] for i in range(len(self.normal_matrix)))
-
 
 # ---------------------------------------------------------------------------
 # horoballs and distances
@@ -338,19 +335,6 @@ def rmax_bound_from_volume(vol, mode: str = "paper_h6"):
         f = lambda r: mpf(mpmath.pi) * (mpmath.sinh(2 * r) - 2 * r)
         return mpmath.cosh(_invert_volume(f, vol, mpf(0)))
     raise ValueError("mode must be 'paper_h6' or 'dim3'")
-
-
-def rf_growth_constant(n: int, V_core, d_core, R):
-    """(2 v_n(1) / V_core) * sinh^n(R + d_core).
-
-    The coefficient of the geodesic length in the index bound; V_core
-    and d_core are the volume and diameter bounds of the thick core at
-    depth parameter R + h_max (h_max enters only through them).
-    """
-    V_core, d_core, R = mpf(V_core), mpf(d_core), mpf(R)
-    if V_core <= 0 or d_core < 0 or R < 0:
-        raise ValueError("arguments must be positive (V_core) / nonnegative")
-    return 2 * unit_ball_volume(n) / V_core * mpmath.sinh(R + d_core) ** n
 
 
 def _log_sinh(x):

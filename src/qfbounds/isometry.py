@@ -27,12 +27,14 @@ its basis:
   step 2  reduce the basis.  L is odd, unimodular and indefinite, hence
           isometric to I_{6,1}.  Vectors v with Q(v) = +-1 are split off
           one at a time, the rest of the basis being projected onto
-          v-perp.  v is a basis vector of norm +-1 when there is one,
-          else one of the basis after an indefinite LLL, else it is
-          built from an isotropic vector that LLL meets (a zero pivot)
-          and a w with B(v, w) = 1.  A rank-2 remainder that is the even
-          plane H is re-split together with an earlier unit vector u as
-          u + h1 - h2.  Every move is integral and unimodular, so S is
+          v-perp.  Each split is one of exactly four kinds: "basis", a
+          basis vector of norm +-1; "lll", one of the basis after an
+          indefinite LLL; "isotropic", one built from an isotropic
+          vector y that LLL meets (a zero pivot) and a w with
+          B(y, w) = 1; "hyperbolic", for a rank-2 remainder that is the
+          even plane H, re-split together with an earlier unit vector u
+          as u + h1 - h2.  When none applies the descent raises
+          RuntimeError.  Every move is integral and unimodular, so S is
           the one step 1 fixed.
 
 When g7 is squarefree, Z^7 lies in L and L in (1/r) Z^7 for r =
@@ -45,7 +47,6 @@ Both facts are checked on every result, and so is P itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -358,11 +359,6 @@ def _to_front(cols, x):
     return [[x[a] * t for t in cols[a]]] + cols[:a] + cols[a + 1 :]
 
 
-def _short_unit(g):
-    """Coordinates in {-1, 0, 1} of a vector of norm +-1, or None."""
-    return next((list(x) for x in itertools.product((0, 1, -1), repeat=len(g)) if _norm(g, x) in (1, -1)), None)
-
-
 def _orthonormal_basis(G, steps):
     """Integer columns T with T^t G T = diag(1,...,1,-1), for the Gram
     matrix G of an odd unimodular lattice of signature (6, 1): the
@@ -392,9 +388,7 @@ def _orthonormal_basis(G, steps):
                     active = [units.pop(plus[-1])[0]] + active
                     x = [1] + [(1 + t) * a - b for a, b in zip(y, w)]
             if x is None:
-                kind, x = "search", _short_unit(g)
-                if x is None:
-                    raise RuntimeError("no vector of norm +-1 found in the reduced basis")
+                raise RuntimeError("no vector of norm +-1 found in the reduced basis")
         active = _to_front(active, x)
         h = _gram(G, active)
         v, sign = active[0], h[0][0]

@@ -1,10 +1,11 @@
-"""Imaginary quadratic fields, quaternion ramification data, covolume
-formulas, and the index-bound constants built on top of them.
+"""Imaginary quadratic fields, quaternion ramification data, the sharp
+level-support enumeration, and the index-bound constants built on top
+of them.
 
 Class numbers are cross-checked against the finite character sum of the
 analytic class number formula, zeta values against closed forms, a
-truncated character sum and an ideal sum, and the covolume formulas
-against each other through their exact quotient.
+truncated character sum and an ideal sum, and the V-mode level-support
+packing against thresholds computed at 50 digits.
 """
 
 import itertools
@@ -18,17 +19,13 @@ import pytest
 from qfbounds.arithmetic import (
     THEOREM_PREFACTOR,
     BoundValue,
-    CovolumeParams,
     ImagQuadField,
     c2_bound,
     c_eps_bound,
     c_prime_eps,
     class_number_of_disc,
-    eichler_covolume,
     field_from_form,
     generic_S_rf_bound,
-    maximal_covolume,
-    prime_norm,
     prime_norms,
     quaternion_algebra,
     quaternion_from_form,
@@ -130,7 +127,6 @@ def test_splitting_partition():
             else:
                 want = "split" if brute_is_square_mod(K.disc, p) else "inert"
             assert t == want
-            assert prime_norm(K, p) == (p * p if t == "inert" else p)
     with pytest.raises(ValueError):
         splitting_type(ImagQuadField.from_d(1), 6)
 
@@ -257,53 +253,6 @@ def test_ramification_structure_random_forms():
             assert splitting_type(A.field, p) == "split"
             assert hilbert_symbol(A.a, A.b, p) == -1
             assert A.field.d_k % p != 0
-
-
-# ---------------------------------------------------------------------------
-# covolumes
-
-
-def test_eichler_vs_maximal_quotient():
-    """The two covolume formulas differ by exactly 2^(m + r_f + 1) [k_A:k]
-    when the level is the product of the support primes to the first power."""
-    cases = [
-        (1, (1, 2, 5, -10), (2, 9), None, 1),
-        (7, (1, 1, 1, -7), (7,), None, 1),
-        (5, None, (2, 3), 1, 2),
-    ]
-    for d, coeffs, S, m, deg in cases:
-        K = ImagQuadField.from_d(d)
-        if coeffs is None:
-            A = quaternion_algebra(1, 1, K)
-            assert A.ram_f == ()
-        else:
-            A = quaternion_from_form(DiagForm(coeffs))
-        e = eichler_covolume(K, A, [(n, 1) for n in S])
-        mx = maximal_covolume(K, A, CovolumeParams(S_norms=S, m=m, deg_kA=deg))
-        m_eff = len(S) if m is None else m
-        want = 2 ** (m_eff + A.r_f + 1) * deg
-        assert abs(e / mx - want) < 1e-10 * want
-
-
-def test_eichler_level_exponent_scaling():
-    K = ImagQuadField.from_d(1)
-    A = quaternion_from_form(DiagForm((1, 2, 5, -10)))
-    v1 = eichler_covolume(K, A, [(5, 1)])
-    v2 = eichler_covolume(K, A, [(5, 2)])
-    assert abs(v2 / v1 - 5.0) < 1e-12
-    with pytest.raises(ValueError):
-        eichler_covolume(K, A, [(5, 0)])
-
-
-def test_maximal_covolume_validation():
-    K = ImagQuadField.from_d(1)
-    A = quaternion_algebra(1, 1, K)
-    with pytest.raises(ValueError):
-        maximal_covolume(K, A, CovolumeParams(S_norms=(2,), m=2))
-    with pytest.raises(ValueError):
-        maximal_covolume(K, A, CovolumeParams(S_norms=(2,), m=-1))
-    with pytest.raises(ValueError):
-        maximal_covolume(K, A, CovolumeParams(S_norms=(), deg_kA=2))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +414,49 @@ def test_sharp_enumeration_v_mode_huge_volume():
     acc = base * math.prod((n + 1) / 2 for n in norms)
     nxt = next(itertools.islice(prime_norms(Qi, [5, 5]), len(norms), None))
     assert acc <= 1e200 < acc * (nxt + 1) / 2
+
+
+def _packing_thresholds(d, count):
+    """The first `count` V-mode thresholds t_k = base * prod_{j<=k} (n_j+1)/2
+    of Q(sqrt(-d)) with no ramified norms and deg 1, at 50 digits: |S| is
+    the largest k with t_k <= V.  zeta_k(2) = zeta(2) L(2, chi) with L from
+    mpmath's periodic Dirichlet series and chi from the residue oracle."""
+    disc = -d if d % 4 == 3 else -4 * d
+    d_k = -disc
+    chi = chi_table(disc)
+    norms = []
+    for p in brute_primes(400):
+        c = chi[p % d_k]
+        norms += [p, p] if c == 1 else [p * p] if c == -1 else [p]
+    norms = sorted(norms)[:count]
+    assert norms[-1] < 400
+    with mp.workdps(50):
+        acc = mp.mpf(d_k) ** 1.5 * mp.zeta(2) * mp.dirichlet(2, chi) / (8 * mp.pi ** 2)
+        out = []
+        for n in norms:
+            acc *= mp.mpf(n + 1) / 2
+            out.append(+acc)
+    return out
+
+
+def test_sharp_enumeration_v_mode_never_under_counts_at_thresholds():
+    # a float comparison at a threshold can drop the last norm, which
+    # halves 2**(|S|+r_f+1) and leaves total_sharp below the true bound;
+    # d = 2 at V = 87816.01097228802 once gave |S| = 7 for an exact 8
+    under = []
+    for d in (1, 2, 3, 5, 7, 11, 19, 43):
+        K = ImagQuadField.from_d(d)
+        ts = _packing_thresholds(d, 12)
+        for t in ts:
+            V0 = float(t)
+            for V in (math.nextafter(V0, 0), V0, math.nextafter(V0, math.inf)):
+                # a float converts to mpf exactly, at any precision
+                exact = sum(1 for s in ts if s <= mp.mpf(V))
+                got = sharp_S_enumeration(K, [], V=V).max_S_size
+                assert got <= exact + 1
+                if got < exact:
+                    under.append((d, V, got, exact))
+    assert under == []
 
 
 # ---------------------------------------------------------------------------

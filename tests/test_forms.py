@@ -16,7 +16,6 @@ from qfbounds.forms import (
     is_isometric_Q,
     is_local_square,
     is_isotropic_Q,
-    is_similar,
     ldl,
     relevant_places,
     standard_lorentzian,
@@ -327,53 +326,6 @@ def test_isometry_decision_agrees_with_explicit_search_rank3():
         assert verify_isometry(p, DiagForm(q1), DiagForm(q2))
         assert is_isometric_Q(DiagForm(q1), DiagForm(q2))
     assert successes >= 3
-
-
-# ---------------------------------------------------------------------------
-# similarity
-
-def test_similarity_fixed_values():
-    q = DiagForm((1, 2, 5, -10))
-    assert is_similar(q, q) == 1
-    z1, z2, z3, z4 = 1, 2, 5, 10
-    scaled_conjugate = DiagForm(
-        (
-            Fraction(1, z1),
-            z2 * (z3 * z4) ** 2,
-            z3 * (z2 * z4) ** 2,
-            -((z2 * z3 * z4) ** 2) * z4,
-        )
-    )
-    unit_leading = DiagForm(
-        (
-            1,
-            z1 * z2 * (z3 * z4) ** 2,
-            z1 * z3 * (z2 * z4) ** 2,
-            -z1 * (z2 * z3 * z4) ** 2 * z4,
-        )
-    )
-    lam = is_similar(scaled_conjugate, unit_leading)
-    assert lam is not None
-    assert is_isometric_Q(unit_leading.scaled(lam), scaled_conjugate)
-    # the cleared denominator z1 itself is a valid scaling
-    assert is_isometric_Q(unit_leading.scaled(z1), scaled_conjugate)
-    assert is_similar(DiagForm((1, 1)), DiagForm((1, -1))) is None
-
-
-def test_similarity_rejects_rank_mismatch():
-    with pytest.raises(ValueError):
-        is_similar(DiagForm((1, 2)), DiagForm((1, 2, 3)))
-
-
-def test_similarity_found_for_scaled_forms():
-    rng = random.Random(210)
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        q = DiagForm(tuple(random_nonzero(rng, -10, 10) for _ in range(n)))
-        lam = random_nonzero(rng, -6, 6)
-        found = is_similar(q.scaled(lam), q)
-        assert found is not None
-        assert is_isometric_Q(q.scaled(found), q.scaled(lam))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from qfbounds.geometry import (
     p6_diagram,
     p6_sigma_volume,
     project_to_horosphere,
-    rf_growth_constant,
     rmax_bound_from_volume,
     unit_ball_volume,
     vertices_from_normals,
@@ -99,14 +98,14 @@ def test_factor_conjugates_gram_to_lorentz():
 
 def test_normal_matrix_gram_is_A():
     S = _simplex()
-    N = S.normal_matrix
+    # the columns of N are the unit inward normals
+    normals = list(zip(*S.normal_matrix))
     with mp.workdps(60):
         for i in range(7):
-            vi = S.normal(i)
+            vi = normals[i]
             assert abs(lorentz_product(vi, vi) - 1) < TIGHT
             for j in range(7):
-                vj = S.normal(j)
-                assert abs(lorentz_product(vi, vj) - S.gram[i][j]) < TIGHT
+                assert abs(lorentz_product(vi, normals[j]) - S.gram[i][j]) < TIGHT
 
 
 def test_normal_matrix_radical_entries():
@@ -163,6 +162,7 @@ def test_vertex_radical_closed_forms():
 
 def test_vertex_normalization_and_incidence():
     S = _simplex()
+    normals = list(zip(*S.normal_matrix))
     with mp.workdps(60):
         x1 = S.vertices[0]
         assert abs(lorentz_product(x1, x1)) < TIGHT
@@ -174,7 +174,7 @@ def test_vertex_normalization_and_incidence():
         # off-wall products all carry the same sign
         for i in range(7):
             for j in range(7):
-                p = lorentz_product(S.vertices[i], S.normal(j))
+                p = lorentz_product(S.vertices[i], normals[j])
                 if i == j:
                     assert p < -mpf(1) / 10
                 else:
@@ -345,20 +345,6 @@ def test_rmax_bound_dim3():
         r = mpmath.acosh(out)
         assert abs(mpf(mpmath.pi) * (mpmath.sinh(2 * r) - 2 * r) - G4) < mpf(10) ** -40
         assert abs(out - mpf("1.4389251270378418")) < 1e-12
-
-
-def test_rf_growth_constant_formula():
-    with mp.workdps(60):
-        got = rf_growth_constant(5, mpf("1.112"), mpf("1.146"), mpf("1.628"))
-        want = (
-            2 * unit_ball_volume(5) / mpf("1.112")
-            * mpmath.sinh(mpf("1.628") + mpf("1.146")) ** 5
-        )
-        assert abs(got - want) < mpf(10) ** -40
-    with pytest.raises(ValueError):
-        rf_growth_constant(5, 0, 1, 1)
-    with pytest.raises(ValueError):
-        rf_growth_constant(5, 1, -1, 1)
 
 
 def test_effective_K_reference_volume():

@@ -18,8 +18,8 @@ isometry_construction_*.json files lock the same forms through the
 construction path (complementary_form, then the descent), printed by
 _CONSTRUCTION below.  Between them they take a Lagrangian of two
 vectors at one prime, a coefficient with a square factor (the 4 of
-<4,7,7,-2>), and every split of step 2 but the hyperbolic re-split and
-the last-resort search, which tests/test_isometry.py covers.  The other
+<4,7,7,-2>), and every split of step 2 but the hyperbolic re-split,
+which tests/test_isometry.py covers.  The other
 CLI files lock one `--json` output of each remaining subcommand, so
 that every value kind a report serializes (forms, rationals, bounds,
 the sharp enumeration, mpf constants, the places of the Hasse-Witt map)

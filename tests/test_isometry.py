@@ -18,7 +18,6 @@ from qfbounds.isometry import (
     _lagrangian,
     _lll_columns,
     _orthonormal_basis,
-    _short_unit,
     _unimodular_lattice,
     gram_matrix,
 )
@@ -123,7 +122,7 @@ def test_step_two_splits_scrambled_bases_of_I61():
         ut = [[sum(col[r] * x for col, x in zip(u, tcol)) for r in range(7)] for tcol in t]
         assert gram_matrix(J, ut) == [[(J[i] if i == j else 0) for j in range(7)] for i in range(7)]
         kinds.update(step["split"] for step in steps)
-    # every route of step 2 but the last-resort search is exercised
+    # every route of step 2 is exercised
     assert kinds == {"basis", "lll", "isotropic", "hyperbolic"}
 
 
@@ -134,12 +133,6 @@ def test_lll_reports_isotropic_vector_at_zero_pivot():
     assert b == cols and y[0] == 1 and not any(y[1:])
     v = [sum(c * col[r] for c, col in zip(y, b)) for r in range(7)]
     assert sum(w * x * x for w, x in zip(J, v)) == 0
-
-
-def test_short_unit_last_resort():
-    assert _short_unit([[3, 1], [1, 0]]) == [1, -1]
-    # the even plane H has no vector of odd norm
-    assert _short_unit([[0, 1], [1, 0]]) is None
 
 
 def _diag(weights):

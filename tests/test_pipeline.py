@@ -739,6 +739,40 @@ def test_searched_S_at_most_constructed_on_corpus():
         assert iso.S <= constructed.S, cs
 
 
+def _duality_bound(coeffs):
+    """S#(g7) = prod_p p^ceil(max_i v_p(a_i) / 2), by trial division.
+
+    P's columns span a lattice L with L^# = L under diag(a_i), and
+    S L lies in Z^7.  Taking duals, S (Z^7)^# lies in L, so
+    S^2 (Z^7)^# = S^2 (+)_i (1/a_i) Z lies in Z^7: every a_i divides
+    S^2, and S#(g7) divides the S of every isometry of g7."""
+    vals = {}
+    for a in coeffs:
+        a, p = abs(a), 2
+        while a > 1:
+            v = 0
+            while a % p == 0:
+                a //= p
+                v += 1
+            if v:
+                vals[p] = max(vals.get(p, 0), v)
+            p += 1
+    return math.prod(p ** -(-v // 2) for p, v in vals.items())
+
+
+def test_S_meets_its_duality_bound_on_corpus_and_presets():
+    # a finer local step (a Jordan splitting in place of the column
+    # scaling) cannot lower S: it is already S#(g7) for the g7 chosen
+    forms = [DiagForm(cs) for cs in seeded_corpus()] + [PRESETS[n].q for n in ("m306", "bianchi7")]
+    above_rad = 0
+    for q in forms:
+        _, iso_json, _, iso = pipeline.complement_isometry_stage(q)
+        g7 = [int(c) for c in iso_json["source"]]
+        assert iso.S == _duality_bound(g7), q
+        above_rad += iso.S > iso_json["S_lower_bound"]
+    assert above_rad == 12
+
+
 def _reject_constant(name):
     raise ValueError("non-finite JSON constant %s" % name)
 
